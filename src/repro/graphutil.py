@@ -19,6 +19,10 @@ two report feedback identically:
   shortest cycle per strongly connected component), which is what a
   lint report wants: a design with three separate loops gets three
   findings, not just the globally shortest one.
+
+:func:`bfs_distances` is the plain unweighted shortest-path BFS that
+:meth:`repro.noc.topology.Topology.average_hop_count` runs from every
+switch (it replaced a networkx all-pairs call).
 """
 
 from __future__ import annotations
@@ -61,6 +65,26 @@ def topological_levels(
     if placed == n:
         return levels, []
     return levels, [i for i, count in enumerate(missing) if count > 0]
+
+
+def bfs_distances(
+    succ: Sequence[Sequence[int]], start: int
+) -> Dict[int, int]:
+    """Hop count from ``start`` to every node reachable along ``succ``.
+
+    ``succ[i]`` lists the nodes one edge away from ``i``; ``start``
+    itself maps to 0 and unreachable nodes are absent.
+    """
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        hops = dist[node] + 1
+        for nxt in succ[node]:
+            if nxt not in dist:
+                dist[nxt] = hops
+                queue.append(nxt)
+    return dist
 
 
 def shortest_cycle(

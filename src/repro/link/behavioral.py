@@ -123,9 +123,9 @@ class TokenLink:
     at most ``ceil(cap / rate)`` steps.  :meth:`accrue_to` replays
     exactly the per-cycle ``min(credit + rate, cap)`` updates (the same
     float operations in the same order, so results stay bit-identical)
-    but stops early once the clamp is reached — the network only calls
-    it for links that might actually send this cycle, instead of
-    touching every link every cycle.  ``_accruals`` counts how many
+    but stops early once the clamp is reached — the NoC switch calls it
+    just before each send attempt on a link, instead of touching every
+    link every cycle.  ``_accruals`` counts how many
     per-cycle accruals have been applied since construction.
     """
 

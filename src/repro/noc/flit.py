@@ -23,8 +23,8 @@ class FlitKind(Enum):
 
     ``opens_route`` / ``closes_route`` are plain member attributes
     (assigned right after the class body) rather than properties: the
-    switch arbitration loop reads them once per lane per output port
-    per cycle, and a concrete bool avoids a descriptor call plus tuple
+    switch arbitration loop reads them for every lane head every
+    cycle, and a concrete bool avoids a descriptor call plus tuple
     construction on that hot path.
     """
 

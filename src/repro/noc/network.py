@@ -10,8 +10,8 @@ network performance.
 
 Each cycle:
 
-1. links accrue rate credit and deliver matured flits into downstream
-   input FIFOs (respecting FIFO space — backpressure);
+1. links deliver matured flits into downstream input FIFOs
+   (respecting FIFO space — backpressure);
 2. the traffic generator injects new packets into per-node source
    queues; one flit per node per cycle may enter the LOCAL input;
 3. every switch arbitrates and forwards at most one flit per output.
@@ -28,25 +28,26 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` maintains
 * ``_pending_sources`` — nodes whose source queues hold flits waiting
   to enter the network (``drain`` no longer rescans every queue).
 
-Rate credit accrues lazily and in batch (see
-:meth:`~repro.link.behavioral.TokenLink.accrue_to`), only for links
-that might send this cycle.  All of this is decision-identical to the
-seed kernel — ``tests/test_kernel_equivalence.py`` pins bit-identical
-statistics, link counters and traced routes across routing modes, VC
-counts, traffic patterns and mesh sizes; ``python -m repro bench``
-measures the resulting speedup.
+Rate credit accrues lazily, at send time: the switch calls
+:meth:`~repro.link.behavioral.TokenLink.accrue_to` on a link just
+before each ``try_send`` on it, and ``accrue_to`` replays the idle gap
+exactly.  All of this is decision-identical to the seed kernel —
+``tests/test_kernel_equivalence.py`` pins bit-identical statistics,
+link counters and traced routes across routing modes, VC counts,
+traffic patterns and mesh sizes; ``python -m repro bench`` measures
+the resulting speedup.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
 from .flit import Flit, Packet
 from .stats import NetworkStats
-from .switch import Switch
+from .switch import InputQueue, Switch
 from .topology import (
     Coord,
     Port,
@@ -55,6 +56,9 @@ from .topology import (
     west_first_permitted,
 )
 from .traffic import TrafficConfig, TrafficGenerator
+
+#: where a link delivers: (dst switch, dst node, dst input lanes by VC)
+_LinkTarget = Tuple[Switch, Coord, List[InputQueue]]
 
 
 class Network:
@@ -127,7 +131,7 @@ class Network:
             link = TokenLink(params, name=f"link{src}{port.value}")
             self.links[key] = link
             self._link_dst[key] = (dst, port.opposite)
-            self.switches[src].out_links[port] = link
+            self.switches[src].attach_link(port, link)
 
         #: per-node source queues of flits waiting to enter the network
         self.source_queues: Dict[Coord, Deque[Flit]] = {
@@ -148,27 +152,43 @@ class Network:
         #: nodes whose switches hold buffered flits
         self._active_switches: set = set()
         #: links with flits in flight, mapped to their precomputed
-        #: delivery target (dst switch object, dst node, dst port)
-        self._active_links: Dict[TokenLink, Tuple[Switch, Coord, Port]] = {}
+        #: delivery target (dst switch, dst node, dst input lanes by VC)
+        self._active_links: Dict[TokenLink, _LinkTarget] = {}
         #: nodes with non-empty source queues
         self._pending_sources: set = set()
         # per-switch (link, delivery-target) tuples so phase 3 can
-        # accrue credit and (re)activate links without dict lookups
+        # (re)activate links without dict lookups
         self._switch_links: Dict[
-            Coord, Tuple[Tuple[TokenLink, Tuple[Switch, Coord, Port]], ...]
+            Coord, Tuple[Tuple[TokenLink, _LinkTarget], ...]
         ] = {}
         for node, switch in self.switches.items():
             entries = []
             for port, link in switch.out_links.items():
                 dst, dport = self._link_dst[(node, port)]
-                entries.append((link, (self.switches[dst], dst, dport)))
+                dst_switch = self.switches[dst]
+                entries.append(
+                    (link, (dst_switch, dst, dst_switch.inputs[dport]))
+                )
             self._switch_links[node] = tuple(entries)
+        #: per-node injection target: (source queue, switch, LOCAL lanes)
+        self._sources: Dict[
+            Coord, Tuple[Deque[Flit], Switch, List[InputQueue]]
+        ] = {
+            node: (self.source_queues[node], switch,
+                   switch.inputs[Port.LOCAL])
+            for node, switch in self.switches.items()
+        }
 
     # ------------------------------------------------------------------
     def offer_packet(self, packet: Packet) -> None:
         """Queue a packet for injection at its source node."""
         if packet.src not in self.source_queues:
             raise ValueError(f"unknown source node {packet.src}")
+        if not 0 <= packet.vc < self.n_vcs:
+            raise ValueError(
+                f"packet {packet.packet_id} carries VC {packet.vc} but the "
+                f"network has {self.n_vcs} VC(s)"
+            )
         self._packet_meta[packet.packet_id] = (
             packet.length_flits,
             packet.created_cycle,
@@ -191,8 +211,8 @@ class Network:
                 ready, flit = in_flight[0]
                 if ready > now:
                     continue
-                switch, dst_node, dst_port = active_links[link]
-                queue = switch.inputs[dst_port][flit.vc]
+                switch, dst_node, lanes = active_links[link]
+                queue = lanes[flit.vc]
                 if len(queue.fifo) >= queue.depth:
                     continue  # backpressure: retry next cycle
                 del in_flight[0]
@@ -211,15 +231,17 @@ class Network:
         if pending:
             stats = self.stats
             packet_meta = self._packet_meta
+            sources = self._sources
             for node in list(pending):
-                queue = self.source_queues[node]
-                switch = self.switches[node]
+                queue, switch, lanes = sources[node]
                 flit = queue[0]
-                if switch.can_accept(Port.LOCAL, flit.vc):
+                lane = lanes[flit.vc]
+                if len(lane.fifo) < lane.depth:
                     queue.popleft()
                     length, created = packet_meta[flit.packet_id]
                     stats.record_injection(flit, now, length, created)
-                    switch.accept(Port.LOCAL, flit)
+                    lane.fifo.append(flit)
+                    switch._buffered += 1
                     active_switches.add(node)
                     if not queue:
                         pending.discard(node)
@@ -235,18 +257,14 @@ class Network:
             switch_links = self._switch_links
             eject = self._eject
             trace = self.trace_routes
-            target_accruals = now + 1
             for node in order:
                 switch = switches[node]
-                links = switch_links[node]
-                for link, _info in links:
-                    link.accrue_to(target_accruals)
                 if trace:
                     self._record_heads(node, switch)
-                switch.arbitrate_and_send(now, eject)
-                for link, info in links:
-                    if link._in_flight:
-                        active_links[link] = info
+                if switch.arbitrate_and_send(now, eject):
+                    for link, info in switch_links[node]:
+                        if link._in_flight:
+                            active_links[link] = info
                 if switch._buffered == 0:
                     active_switches.discard(node)
 
@@ -306,7 +324,13 @@ class Network:
 
     # ------------------------------------------------------------------
     # observability: plain-int counters summed at the coarse run/drain
-    # boundaries only — the cycle loop never touches the registry
+    # boundaries only — the cycle loop never touches the registry.
+    # Credit accrues at send time, so ``noc.credit_accruals`` counts the
+    # per-cycle credit steps replayed for the links up to their latest
+    # send attempt (idle cycles since a link's previous attempt are
+    # replayed then, in one batch), and ``noc.accrual_batches`` counts
+    # the send attempts that found the link behind — at most one per
+    # link per cycle.  A link never attempted accrues nothing.
     # ------------------------------------------------------------------
     _OBS_COUNTERS = (
         "noc.arbitration_fast",

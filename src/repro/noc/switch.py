@@ -24,20 +24,29 @@ virtual channels share the wire, they do not widen it.
 
 Arbitration is decision-identical to the straightforward seed
 implementation (kept verbatim in :mod:`repro.noc.reference` and pinned
-by ``tests/test_kernel_equivalence.py``) but organised for speed: the
-lane list and the lane→index map are precomputed once, empty switches
-return before touching any lane, and the round-robin update is a dict
-lookup instead of a linear ``list.index`` scan.  The per-output rescan
-of the lanes is deliberate — with adaptive routing a lane's desired
-output may change *within* a cycle as earlier outputs send (occupancies
-shift and queue heads advance), so caching desired outputs across
-output ports would change arbitration decisions.
+by ``tests/test_kernel_equivalence.py``) but routes each non-empty lane
+once per cycle instead of once per output port.  Lanes, outputs, VCs
+and wormhole owners are plain integers (``Port.index``), and the lanes
+are bucketed by the output their head flit wants.  The outputs are then
+served in ``Port`` order, as the seed does, and a lane is routed again
+only when the answer the seed would compute at a later output can
+differ:
+
+* when a pop exposes a new head flit, which may want a later output in
+  the same cycle;
+* after a send on a link, for the head flits still waiting for that
+  output: adaptive routing (west-first) steers by link occupancy, and
+  the send just raised it.
+
+A lane whose new answer is an output already served waits for the next
+cycle, exactly as the seed's rescan would leave it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from .flit import Flit
 from .topology import Coord, Port
@@ -80,6 +89,11 @@ class InputQueue:
         return self.fifo.popleft()
 
 
+#: outputs in service order; ``_PORTS[i].index == i``
+_PORTS: Tuple[Port, ...] = tuple(Port)
+_LOCAL = Port.LOCAL.index
+
+
 class Switch:
     """A 5-port synchronous wormhole switch with optional VCs."""
 
@@ -102,23 +116,23 @@ class Switch:
             port: [InputQueue(fifo_depth) for _ in range(n_vcs)]
             for port in Port
         }
-        #: which input lane owns each (output port, VC) wormhole lane
-        self.output_owner: Dict[Tuple[Port, int], Optional[Lane]] = {
-            (port, vc): None for port in Port for vc in range(n_vcs)
-        }
-        #: round-robin pointer per output port (over lanes)
-        self._rr: Dict[Port, int] = {port: 0 for port in Port}
-        #: outgoing links, attached by the network
-        self.out_links: Dict[Port, object] = {}
-        # precomputed arbitration structures (hot path)
-        lanes = [(port, vc) for port in Port for vc in range(n_vcs)]
-        self._lane_index: Dict[Lane, int] = {
-            lane: i for i, lane in enumerate(lanes)
-        }
-        self._lane_pairs: Tuple[Tuple[Lane, InputQueue], ...] = tuple(
-            (lane, self.inputs[lane[0]][lane[1]]) for lane in lanes
+        # outgoing links by output index, set by :meth:`attach_link`
+        self._links: List[Optional[object]] = [None] * len(_PORTS)
+        self._out_links: Dict[Port, object] = {}
+        #: read-only view of the outgoing links by port
+        self.out_links: Mapping[Port, object] = MappingProxyType(
+            self._out_links
         )
-        self._n_lanes = len(lanes)
+        # integer-indexed arbitration state (hot path): lane
+        # ``port.index * n_vcs + vc`` is the seed's lane order, and
+        # wormhole lane ``out.index * n_vcs + vc`` the (output, VC) pair
+        self._queues: Tuple[InputQueue, ...] = tuple(
+            queue for port in Port for queue in self.inputs[port]
+        )
+        #: lane index that owns each wormhole lane, or None when free
+        self._owner: List[Optional[int]] = [None] * (len(_PORTS) * n_vcs)
+        #: round-robin pointer per output (over lane indices)
+        self._rr: List[int] = [0] * len(_PORTS)
         #: flits currently buffered across all lanes (maintained by
         #: :meth:`accept` and the arbitration pops; lets both the switch
         #: and the network skip empty switches without scanning FIFOs)
@@ -149,6 +163,22 @@ class Switch:
         self.inputs[port][vc].push(flit)
         self._buffered += 1
 
+    def attach_link(self, port: Port, link: object) -> None:
+        """Connect the outgoing link that leaves through ``port``."""
+        self._out_links[port] = link
+        self._links[port.index] = link
+
+    @property
+    def output_owner(self) -> Dict[Tuple[Port, int], Optional[Lane]]:
+        """Which input lane owns each (output port, VC) wormhole lane."""
+        n_vcs = self.n_vcs
+        return {
+            (_PORTS[i // n_vcs], i % n_vcs):
+                None if lane is None
+                else (_PORTS[lane // n_vcs], lane % n_vcs)
+            for i, lane in enumerate(self._owner)
+        }
+
     # ------------------------------------------------------------------
     def arbitrate_and_send(
         self,
@@ -160,83 +190,97 @@ class Switch:
         ``eject`` consumes flits whose output is LOCAL.  At most one
         flit advances per *physical* output port per cycle; round-robin
         over the input lanes resolves conflicts; the wormhole lock is
-        per (output, VC) so different VCs interleave.
+        per (output, VC) so different VCs interleave.  A link's rate
+        credit is brought up to date (``accrue_to``) just before each
+        send attempt on it.
         """
         if self._buffered == 0:
             return 0
-        moved = 0
         route_fn = self.route_fn
         position = self.position
-        output_owner = self.output_owner
-        lane_pairs = self._lane_pairs
-        lane_index = self._lane_index
-        n_lanes = self._n_lanes
-        rr = self._rr
-        for out_port in Port:
-            candidates: List[Tuple[Lane, InputQueue]] = []
-            for lane, queue in lane_pairs:
-                fifo = queue.fifo
-                if not fifo:
-                    continue
-                flit = fifo[0]
-                if flit.kind.opens_route:
-                    if route_fn(position, flit.dest) is not out_port:
-                        continue
-                    owner = output_owner[(out_port, flit.vc)]
-                    if owner is not None and owner != lane:
-                        continue  # VC lane locked by another packet
-                elif queue.locked_output is not out_port:
+        queues = self._queues
+        # route every non-empty lane once: bucket it by desired output
+        buckets: List[List[int]] = [[], [], [], [], []]
+        for i, queue in enumerate(queues):
+            fifo = queue.fifo
+            if fifo:
+                if fifo[0].kind.opens_route:
+                    buckets[route_fn(position, fifo[0].dest).index].append(i)
+                elif queue.locked_output is not None:
                     # body/tail follow the locked route
-                    continue
-                candidates.append((lane, queue))
+                    buckets[queue.locked_output.index].append(i)
+
+        owner = self._owner
+        rr = self._rr
+        n_vcs = self.n_vcs
+        n_lanes = len(queues)
+        moved = 0
+        for out, bucket in enumerate(buckets):
+            if not bucket:
+                continue
+            base = out * n_vcs
+            candidates: List[int] = []
+            for i in bucket:
+                flit = queues[i].fifo[0]
+                if flit.kind.opens_route:
+                    held = owner[base + flit.vc]
+                    if held is not None and held != i:
+                        continue  # VC lane locked by another packet
+                candidates.append(i)
 
             if not candidates:
                 continue
             if len(candidates) == 1:
                 self.arbitration_fast += 1
-                pick, queue = candidates[0]
+                pick = candidates[0]
             else:
                 self.arbitration_conflicts += 1
                 # round-robin: the first candidate at or after the pointer
-                start = rr[out_port]
-                pick, queue = min(
-                    candidates,
-                    key=lambda cand: (lane_index[cand[0]] - start) % n_lanes,
-                )
+                start = rr[out]
+                pick = min(candidates, key=lambda i: (i - start) % n_lanes)
 
-            if out_port is Port.LOCAL:
-                flit = queue.pop()
-                self._buffered -= 1
-                self._finish_flit(queue, pick, out_port, flit)
+            fifo = queues[pick].fifo
+            if out == _LOCAL:
+                flit = fifo.popleft()
                 eject(flit)
-                moved += 1
-                rr[out_port] = (lane_index[pick] + 1) % n_lanes
-                continue
-
-            link = self.out_links.get(out_port)
-            if link is None:
-                raise RuntimeError(
-                    f"{self.name}: no link attached on {out_port}"
-                )
-            if link.try_send(queue.fifo[0], now_cycle):
-                flit = queue.pop()
-                self._buffered -= 1
-                self._finish_flit(queue, pick, out_port, flit)
-                moved += 1
-                rr[out_port] = (lane_index[pick] + 1) % n_lanes
+            else:
+                link = self._links[out]
+                if link is None:
+                    raise RuntimeError(
+                        f"{self.name}: no link attached on {_PORTS[out]}"
+                    )
+                link.accrue_to(now_cycle + 1)
+                if not link.try_send(fifo[0], now_cycle):
+                    continue
+                flit = fifo.popleft()
+                # the send raised this link's occupancy: a waiting head
+                # may now prefer a later output (adaptive routing)
+                for i in bucket:
+                    if i != pick:
+                        head = queues[i].fifo[0]
+                        if head.kind.opens_route:
+                            later = route_fn(position, head.dest).index
+                            if later > out:
+                                buckets[later].append(i)
+            self._buffered -= 1
+            moved += 1
+            rr[out] = (pick + 1) % n_lanes
+            # update the wormhole locks
+            kind = flit.kind
+            if kind.opens_route:
+                owner[base + flit.vc] = pick
+                queues[pick].locked_output = _PORTS[out]
+            if kind.closes_route:
+                owner[base + flit.vc] = None
+                queues[pick].locked_output = None
+            # the pop exposed a new head, which may leave on a later
+            # output this same cycle
+            if fifo and fifo[0].kind.opens_route:
+                later = route_fn(position, fifo[0].dest).index
+                if later > out:
+                    buckets[later].append(pick)
         self.flits_routed += moved
         return moved
-
-    def _finish_flit(self, queue: InputQueue, lane: Lane,
-                     out_port: Port, flit: Flit) -> None:
-        """Update wormhole locks after a flit advances."""
-        kind = flit.kind
-        if kind.opens_route:
-            self.output_owner[(out_port, flit.vc)] = lane
-            queue.locked_output = out_port
-        if kind.closes_route:
-            self.output_owner[(out_port, flit.vc)] = None
-            queue.locked_output = None
 
     # ------------------------------------------------------------------
     @property

@@ -3,8 +3,10 @@
 Switch positions are (x, y) coordinates; ports are compass directions
 plus LOCAL for the attached core.  A topology is a description object —
 :class:`~repro.noc.network.Network` instantiates switches and links from
-it.  ``networkx`` views are provided for analysis (path lengths,
-bisection cuts) and the design-space examples.
+it.  Path-length analysis (:meth:`Topology.average_hop_count`) uses the
+standard-library BFS in :mod:`repro.graphutil`; a ``networkx`` view is
+available on request (:meth:`Topology.to_networkx`) for callers that
+have networkx installed.
 """
 
 from __future__ import annotations
@@ -13,13 +15,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
+from ..graphutil import bfs_distances
 
 Coord = Tuple[int, int]
 
 
 class Port(Enum):
-    """Switch ports: four neighbours plus the local core."""
+    """Switch ports: four neighbours plus the local core.
+
+    ``index`` is each member's position in iteration order (NORTH=0 …
+    LOCAL=4), a plain member attribute assigned right after the class
+    body (as ``FlitKind.opens_route`` is): the switch arbitration loop
+    indexes its per-output state by it instead of hashing the enum.
+    """
 
     NORTH = "N"
     SOUTH = "S"
@@ -36,6 +44,11 @@ class Port(Enum):
             Port.WEST: Port.EAST,
             Port.LOCAL: Port.LOCAL,
         }[self]
+
+
+for _index, _port in enumerate(Port):
+    _port.index = _index
+del _index, _port
 
 
 _DELTAS: Dict[Port, Tuple[int, int]] = {
@@ -97,8 +110,14 @@ class Topology:
     def n_directed_links(self) -> int:
         return sum(1 for _ in self.links())
 
-    def to_networkx(self) -> "nx.DiGraph":
-        """Directed graph view of the topology."""
+    def to_networkx(self):
+        """Directed ``networkx.DiGraph`` view of the topology.
+
+        networkx is imported here, not at module scope, so the package
+        itself needs only the standard library.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes())
         for src, port, dst in self.links():
@@ -107,12 +126,15 @@ class Topology:
 
     def average_hop_count(self) -> float:
         """Mean shortest-path hops over all src≠dst pairs."""
-        graph = self.to_networkx()
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        nodes = list(self.nodes())
+        index = {node: i for i, node in enumerate(nodes)}
+        succ: List[List[int]] = [[] for _ in nodes]
+        for src, _port, dst in self.links():
+            succ[index[src]].append(index[dst])
         total, pairs = 0, 0
-        for src, dsts in lengths.items():
-            for dst, hops in dsts.items():
-                if src != dst:
+        for start in range(len(nodes)):
+            for hops in bfs_distances(succ, start).values():
+                if hops:
                     total += hops
                     pairs += 1
         return total / pairs if pairs else 0.0
@@ -147,11 +169,13 @@ def next_hop(current: Coord, dest: Coord, topology: Topology) -> Port:
 def compile_next_hop(topology: Topology):
     """A fast ``(current, dest) -> Port`` closure for one topology.
 
-    Decision-identical to :func:`next_hop` (see the equivalence test in
-    ``tests/test_noc_topology.py``) but skips the bounds validation and
-    the full-route list that :func:`xy_route` builds — the network cycle
-    kernel calls this once per buffered head flit per output port per
-    cycle, where materialising the whole remaining path is pure waste.
+    Decision-identical to :func:`next_hop` (see the equivalence tests in
+    ``tests/test_noc_topology.py`` and the mesh and torus lockstep grids
+    in ``tests/test_kernel_equivalence.py``) but skips the bounds
+    validation and the full-route list that :func:`xy_route` builds —
+    the switch calls this once per lane head per cycle (plus the few
+    same-cycle re-routes described in :mod:`repro.noc.switch`), so
+    materialising the whole remaining path would be pure waste.
     """
     east, west = Port.EAST, Port.WEST
     north, south = Port.NORTH, Port.SOUTH

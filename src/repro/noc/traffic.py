@@ -69,13 +69,20 @@ class TrafficGenerator:
         self.config = config
         self._rng = random.Random(config.seed)
         self.packets_generated = 0
+        #: sources in injection order, and each one's possible uniform
+        #: destinations (every other node, in ``topology.nodes()`` order)
+        self._nodes = tuple(topology.nodes())
+        self._others = {
+            src: [node for node in self._nodes if node != src]
+            for src in self._nodes
+        }
 
     # ------------------------------------------------------------------
     def _destination(self, src: Coord) -> Optional[Coord]:
         cfg = self.config
         topo = self.topology
         if cfg.pattern == "uniform":
-            others = [n for n in topo.nodes() if n != src]
+            others = self._others[src]
             return self._rng.choice(others) if others else None
         if cfg.pattern == "transpose":
             dest = (src[1], src[0])
@@ -89,7 +96,7 @@ class TrafficGenerator:
             assert cfg.hotspot is not None
             if src != cfg.hotspot and self._rng.random() < cfg.hotspot_fraction:
                 return cfg.hotspot
-            others = [n for n in topo.nodes() if n != src]
+            others = self._others[src]
             return self._rng.choice(others) if others else None
         if cfg.pattern == "neighbor":
             dest = ((src[0] + 1) % topo.cols, src[1])
@@ -101,7 +108,7 @@ class TrafficGenerator:
         cfg = self.config
         packet_probability = cfg.injection_rate / cfg.packet_length
         packets = []
-        for src in self.topology.nodes():
+        for src in self._nodes:
             if self._rng.random() >= packet_probability:
                 continue
             dest = self._destination(src)

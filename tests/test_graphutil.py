@@ -9,6 +9,7 @@ all-loops reporting the lint engine builds on.
 import pytest
 
 from repro.graphutil import (
+    bfs_distances,
     feedback_cycles,
     shortest_cycle,
     strongly_connected_components,
@@ -46,6 +47,18 @@ class TestTopologicalLevels:
 
     def test_empty_graph(self):
         assert topological_levels([]) == ([], [])
+
+
+class TestBfsDistances:
+    def test_hops_follow_successor_edges_only(self):
+        # 0 -> 1 -> 2 -> 0 ring plus a dead end 1 -> 3; 4 is isolated
+        succ = [[1], [2, 3], [0], [], []]
+        assert bfs_distances(succ, 0) == {0: 0, 1: 1, 2: 2, 3: 2}
+        assert bfs_distances(succ, 3) == {3: 0}
+
+    def test_shortest_of_several_paths_wins(self):
+        succ = [[1, 3], [2], [3], []]
+        assert bfs_distances(succ, 0)[3] == 1
 
 
 class TestShortestCycle:

@@ -5,7 +5,8 @@ batched-credit ``TokenLink`` must be *decision-identical* to the seed
 kernel preserved in ``repro.noc.reference`` — not approximately equal,
 bit-identical.  These tests drive both kernels with identical seeded
 traffic over {xy, west_first} routing x {1, 2} VCs x {uniform, hotspot,
-transpose, bit-complement} patterns x mesh sizes 2-6 and compare
+transpose, bit-complement} patterns x mesh sizes 2-6 (plus XY on tori of
+the same sizes) and compare
 
 * the full statistics (counters and the exact packet-latency list),
 * per-link sent/delivered counters and in-flight contents,
@@ -18,6 +19,9 @@ multiple VCs can deadlock under hotspot traffic (a protocol property
 the seed kernel exhibits identically — see the lockstep state
 comparison, which must agree even about the deadlock), and a fixed
 budget compares those states too instead of hanging.
+
+Directed cases pin the corners where a lane's desired output changes
+within one cycle (``TestSameCycleReroute``).
 """
 
 import pytest
@@ -70,9 +74,9 @@ def _switch_state(network):
 
 
 def _run_lockstep(cls, size, routing, n_vcs, pattern, cycles, settle,
-                  rate=0.2, seed=2008):
+                  rate=0.2, seed=2008, torus=False):
     reset_packet_ids()
-    topology = Topology(size, size)
+    topology = Topology(size, size, torus=torus)
     params = derive_link_params(st012(), "I3", 300)
     network = cls(topology, params, n_vcs=n_vcs, routing=routing)
     network.trace_routes = True
@@ -121,6 +125,120 @@ class TestKernelEquivalence:
         _assert_equivalent(
             opt, ref, f"{size}x{size}/{pattern}/vc{n_vcs}/{routing}"
         )
+
+
+    @pytest.mark.parametrize("n_vcs", VCS)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("size", MESH_SIZES)
+    def test_lockstep_torus_xy(self, size, pattern, n_vcs):
+        # the wrap-aware closure from compile_next_hop vs the seed's
+        # next_hop over xy_route (west-first is mesh-only)
+        cycles, settle = 100, 80
+        opt = _run_lockstep(Network, size, "xy", n_vcs, pattern,
+                            cycles, settle, torus=True)
+        ref = _run_lockstep(ReferenceNetwork, size, "xy", n_vcs,
+                            pattern, cycles, settle, torus=True)
+        _assert_equivalent(
+            opt, ref, f"torus {size}x{size}/{pattern}/vc{n_vcs}/xy"
+        )
+
+
+class TestSameCycleReroute:
+    """Directed corners where a lane's desired output changes within
+    one cycle, after an earlier output has been served.
+
+    The optimized switch routes each lane once per cycle and re-routes
+    only on these events; the seed rescans every lane per output.  Each
+    test builds the corner with explicit packets on a 3x3 mesh, checks
+    on the seed kernel that the corner really occurs, and then compares
+    both kernels' full state after every cycle.
+    """
+
+    SWITCH = (1, 1)
+
+    def _lockstep(self, make, schedule, cycles):
+        """Step both kernels, offering ``schedule[cycle]`` packets
+        before each step; return the reference network."""
+        reset_packet_ids()
+        opt, ref = make(Network), make(ReferenceNetwork)
+        for cycle in range(cycles):
+            for packet in schedule.get(cycle, ()):
+                opt.offer_packet(packet)
+                ref.offer_packet(packet)
+            opt.step(None)
+            ref.step(None)
+            _assert_equivalent(opt, ref, f"cycle {cycle}")
+        return ref
+
+    @staticmethod
+    def _sent_at(network, node, port, packet_id, kind):
+        """Cycle the given flit was sent on a link (it must still be in
+        flight)."""
+        link = network.links[(node, port)]
+        for ready, flit in link._in_flight:
+            if flit.packet_id == packet_id and flit.kind is kind:
+                return ready - link.params.latency_cycles
+        raise AssertionError(f"{packet_id}/{kind} not on {node}{port}")
+
+    def test_xy_tail_early_then_next_head_later_output(self):
+        # a half-rate NORTH link makes the LOCAL lane back up, so the
+        # tail of P1 (NORTH) and the head of P2 (EAST) are adjacent in
+        # one FIFO; the tail's pop exposes the head, which must leave
+        # on EAST in the same cycle
+        from repro.link.behavioral import BehavioralLinkParams
+        from repro.noc import FlitKind, Packet, Port
+
+        fast = BehavioralLinkParams("T", 6, 1.0, 8, 10, 300.0)
+        slow = BehavioralLinkParams("T", 6, 0.5, 8, 10, 300.0)
+        node = self.SWITCH
+
+        def make(cls):
+            return cls(
+                Topology(3, 3), fast,
+                link_params_for=lambda src, port, dst: (
+                    slow if (src, port) == (node, Port.NORTH) else None
+                ),
+            )
+
+        p1 = Packet(src=node, dest=(1, 2), length_flits=2)
+        p2 = Packet(src=node, dest=(2, 1), length_flits=2)
+        ref = self._lockstep(make, {0: (p1, p2)}, cycles=6)
+        tail_sent = self._sent_at(ref, node, Port.NORTH, p1.packet_id,
+                                  FlitKind.TAIL)
+        head_sent = self._sent_at(ref, node, Port.EAST, p2.packet_id,
+                                  FlitKind.HEAD)
+        assert tail_sent == head_sent == 3
+
+    def test_west_first_loser_takes_later_output_after_send(self):
+        # two heads bound north-east meet at (1,1) while its EAST link
+        # holds one more flit than its NORTH link, so both want NORTH.
+        # The winner's send evens the occupancies, the tie goes to EAST
+        # ("E" < "N"), and the loser must leave on EAST in the same cycle
+        from repro.link.behavioral import BehavioralLinkParams
+        from repro.noc import FlitKind, Packet, Port
+
+        latency = 6
+        params = BehavioralLinkParams("T", latency, 1.0, 8, 10, 300.0)
+        node = self.SWITCH
+
+        def make(cls):
+            return cls(Topology(3, 3), params, n_vcs=2,
+                       routing="west_first")
+
+        # B enters (1,1) from the WEST on VC 1 at cycle `latency`; A
+        # occupies the EAST link from the cycle before; C arrives from
+        # the LOCAL core on VC 0 together with B
+        b = Packet(src=(0, 1), dest=(2, 2), length_flits=1, vc=1)
+        a = Packet(src=node, dest=(2, 1), length_flits=1)
+        c = Packet(src=node, dest=(2, 2), length_flits=1)
+        ref = self._lockstep(
+            make, {0: (b,), latency - 1: (a,), latency: (c,)},
+            cycles=latency + 3,
+        )
+        assert self._sent_at(ref, node, Port.NORTH, b.packet_id,
+                             FlitKind.HEAD_TAIL) == latency
+        assert self._sent_at(ref, node, Port.EAST, c.packet_id,
+                             FlitKind.HEAD_TAIL) == latency
 
 
 class TestDrainedPointEquivalence:

@@ -13,7 +13,7 @@ def make_switch(position=(1, 1), topo=None, fifo_depth=4):
                 fifo_depth)
     params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
     for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
-        sw.out_links[port] = TokenLink(params)
+        sw.attach_link(port, TokenLink(params))
     return sw
 
 

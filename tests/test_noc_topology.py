@@ -51,6 +51,8 @@ class TestTopology:
         assert Topology(4, 4, torus=True).n_directed_links == 64
 
     def test_networkx_view(self):
+        # the view is the only networkx use; the package itself is stdlib
+        pytest.importorskip("networkx")
         graph = Topology(3, 3).to_networkx()
         assert graph.number_of_nodes() == 9
         assert graph.has_edge((0, 0), (1, 0))
@@ -58,6 +60,17 @@ class TestTopology:
     def test_average_hop_count_2x2(self):
         # pairs at distance 1 (8 ordered) and 2 (4 ordered): mean = 4/3
         assert Topology(2, 2).average_hop_count() == pytest.approx(4 / 3)
+
+    @pytest.mark.parametrize("cols,rows,torus,expected", [
+        (1, 1, False, 0.0),
+        (3, 3, False, 2.0),  # 144 hops over 72 ordered pairs
+        (4, 4, True, 32 / 15),  # every node sees 4 at 1, 6 at 2, 4 at 3, 1 at 4
+        (1, 4, True, 4 / 3),  # a ring of 4: distances 1, 2, 1
+    ])
+    def test_average_hop_count_without_networkx(self, cols, rows, torus,
+                                                expected):
+        topo = Topology(cols, rows, torus=torus)
+        assert topo.average_hop_count() == pytest.approx(expected)
 
     def test_in_bounds(self):
         topo = Topology(3, 3)

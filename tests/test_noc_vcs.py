@@ -31,7 +31,7 @@ def make_vc_switch(n_vcs=2, position=(1, 1)):
                 fifo_depth=4, n_vcs=n_vcs)
     params = BehavioralLinkParams("T", 1, 1.0, 16, 10, 300.0)
     for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
-        sw.out_links[port] = TokenLink(params)
+        sw.attach_link(port, TokenLink(params))
     return sw
 
 
@@ -159,6 +159,16 @@ class TestVcNetwork:
             net.drain(max_cycles=300_000)
             results[n_vcs] = net.stats.mean_packet_latency
         assert results[2] <= results[1] * 1.05
+
+    @pytest.mark.parametrize("vc", (-1, 2))
+    def test_out_of_range_packet_vc_rejected_at_offer(self, vc):
+        net = Network(Topology(2, 2), derive_link_params(st012(), "I1", 300),
+                      n_vcs=2)
+        with pytest.raises(ValueError):
+            net.offer_packet(
+                Packet(src=(0, 0), dest=(1, 1), length_flits=1, vc=vc)
+            )
+        assert not net.source_queues[(0, 0)]
 
     def test_packet_vc_rides_through(self):
         topo = Topology(3, 3)
