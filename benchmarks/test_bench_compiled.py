@@ -1,4 +1,4 @@
-"""Bench-harness tests for the compiled suite and the schema-3 reader.
+"""Bench-harness tests for the compiled suite and the schema reader.
 
 Tiny workloads (milliseconds) exercise the timing/cross-check plumbing;
 the schema tests pin backward compatibility: a schema-2 baseline file
@@ -13,60 +13,60 @@ import pytest
 
 from repro.bench import (
     SCHEMA,
-    CompiledBenchPoint,
+    WORKLOADS,
     check_against_baseline,
-    default_compiled_points,
+    find,
     load_baseline,
     run_bench,
-    run_compiled_point,
 )
 
-TINY_BATCH = CompiledBenchPoint("fault-batch", 2)
-TINY_RING = CompiledBenchPoint("ringosc", 64)
+TINY_BATCH = (find("compiled", "fault-batch"), 2)
+TINY_RING = (find("compiled", "ringosc"), 64)
+
+
+def run_one(point, reference=True):
+    document = run_bench([point], reference=reference, repeats=1,
+                         collect_metrics=False)
+    (record,) = document["points"]
+    return record
 
 
 class TestCompiledPoints:
     def test_fault_batch_reports_lanes_and_matching_stats(self):
-        outcome = run_compiled_point(TINY_BATCH, repeats=1)
-        assert outcome.lanes == 64
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None and outcome.speedup > 0
-        assert outcome.optimized_lps > 0
-        record = outcome.to_json()
+        record = run_one(TINY_BATCH)
+        assert record["lanes"] == 64
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
+        assert record["compiled_lps"] > 0
         assert record["suite"] == "compiled"
         assert record["key"] == "compiled/fault-batch@2"
         assert record["cycles"] == 2
 
     def test_ringosc_is_single_lane(self):
-        outcome = run_compiled_point(TINY_RING, repeats=1)
-        assert outcome.lanes == 1
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None
+        record = run_one(TINY_RING)
+        assert record["lanes"] == 1
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None
 
     def test_reference_skippable(self):
-        outcome = run_compiled_point(TINY_RING, reference=False,
-                                     repeats=1)
-        assert outcome.reference_wall_s is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
+        record = run_one(TINY_RING, reference=False)
+        assert record["reference_wall_s"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
 
     def test_default_points_cover_the_acceptance_gates(self):
-        keys = [p.key for p in default_compiled_points()]
-        assert keys == ["compiled/fault-batch@12",
-                        "compiled/ringosc@20000"]
-        fast = [p.key for p in default_compiled_points(scale=0.5)]
-        assert fast == ["compiled/fault-batch@6",
-                        "compiled/ringosc@10000"]
+        rows = [row for row in WORKLOADS if row.suite == "compiled"]
+        assert [row.key(row.size) for row in rows] == [
+            "compiled/fault-batch@12", "compiled/ringosc@20000"]
+        assert [row.key(row.scaled(0.5)) for row in rows] == [
+            "compiled/fault-batch@6", "compiled/ringosc@10000"]
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown compiled workload"):
-            run_compiled_point(CompiledBenchPoint("warp-drive", 1),
-                               repeats=1)
+            find("compiled", "warp-drive")
 
     def test_run_bench_tags_the_suite(self):
-        document = run_bench(
-            compiled_points=[TINY_RING], reference=False, repeats=1
-        )
+        document = run_bench([TINY_RING], reference=False, repeats=1)
         assert document["schema"] == SCHEMA == 4
         assert document["suites"] == ["compiled"]
         assert [p["suite"] for p in document["points"]] == ["compiled"]
@@ -181,4 +181,4 @@ class TestSchemaCompatibility:
         }
         problems = check_against_baseline(current, baseline)
         assert len(problems) == 1
-        assert "--compiled-scale" in problems[0]
+        assert "--scale" in problems[0]

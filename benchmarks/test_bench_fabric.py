@@ -11,56 +11,51 @@ beyond tolerance all fail the check.
 
 import pytest
 
-from repro.bench import (
-    SCHEMA,
-    SweepBenchPoint,
-    check_against_baseline,
-    default_sweep_points,
-    run_bench,
-    run_sweep_point,
-)
+from repro.bench import SCHEMA, check_against_baseline, find, run_bench
 
-TINY_GRID = SweepBenchPoint("noop", 8)
+NOOP = find("sweep", "noop")
+TINY_GRID = (NOOP, 8)
+
+
+def run_one(reference=True):
+    document = run_bench([TINY_GRID], reference=reference, repeats=1,
+                         collect_metrics=False)
+    (record,) = document["points"]
+    return record
 
 
 class TestSweepPoints:
     def test_fabric_throughput_and_matching_results(self):
-        outcome = run_sweep_point(TINY_GRID, repeats=1)
-        assert outcome.fabric_pps > 0
-        assert outcome.engine_pps > 0
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None and outcome.speedup > 0
-        record = outcome.to_json()
+        record = run_one()
+        assert record["fabric_pps"] > 0
+        assert record["engine_pps"] > 0
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
         assert record["suite"] == "sweep"
         assert record["key"] == "sweep/noop@8"
         assert record["cycles"] == 8
         assert record["workers"] == 1
 
     def test_reference_skippable(self):
-        outcome = run_sweep_point(TINY_GRID, reference=False, repeats=1)
-        assert outcome.engine_pps is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
-        assert outcome.fabric_pps > 0
+        record = run_one(reference=False)
+        assert record["engine_pps"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
+        assert record["fabric_pps"] > 0
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep workload"):
-            run_sweep_point(SweepBenchPoint("warp-drive", 8), repeats=1)
+            find("sweep", "warp-drive")
 
     def test_default_points_scale_with_a_floor(self):
-        assert [p.key for p in default_sweep_points()] == [
-            "sweep/noop@64"
-        ]
-        assert [p.key for p in default_sweep_points(scale=0.5)] == [
-            "sweep/noop@32"
-        ]
+        assert NOOP.key(NOOP.size) == "sweep/noop@64"
+        assert NOOP.key(NOOP.scaled(0.5)) == "sweep/noop@32"
         # the floor keeps a micro-scale run a real grid, not one point
-        assert default_sweep_points(scale=0.01)[0].size == 8
+        assert NOOP.scaled(0.01) == 8
 
     def test_run_bench_tags_the_suite(self):
         document = run_bench(
-            sweep_points=[TINY_GRID], reference=False, repeats=1,
-            collect_metrics=False,
+            [TINY_GRID], reference=False, repeats=1, collect_metrics=False,
         )
         assert document["schema"] == SCHEMA == 4
         assert document["suites"] == ["sweep"]
@@ -68,8 +63,7 @@ class TestSweepPoints:
 
     def test_metrics_replay_counts_fabric_traffic(self):
         document = run_bench(
-            sweep_points=[TINY_GRID], reference=False, repeats=1,
-            collect_metrics=True,
+            [TINY_GRID], reference=False, repeats=1, collect_metrics=True,
         )
         metrics = document["points"][0]["metrics"]
         assert metrics["fabric.points_executed"] == 8
@@ -113,7 +107,7 @@ class TestSweepGating:
         )
         problems = check_against_baseline(current, baseline)
         assert len(problems) == 1
-        assert "--sweep-scale" in problems[0]
+        assert "--scale" in problems[0]
         assert "grid points" in problems[0]
 
     def test_noc_only_run_skips_sweep_points(self):

@@ -27,8 +27,9 @@ Usage::
     python -m repro diff baseline/ out/                     # regression gate
     python -m repro history runs/                           # store catalogue
     python -m repro bench --json bench.json                 # kernel cycles/sec
-    python -m repro bench --fast --check benchmarks/baseline_bench.json
-    python -m repro bench --suite compiled --fast --min-compiled-speedup 4
+    python -m repro bench --suite all --fast \
+        --check benchmarks/baseline_bench.json              # CI gate
+    python -m repro bench --suite gate --scale 0.25         # smaller workloads
     python -m repro bench --profile                         # cProfile hot spots
 
 ``run`` exits non-zero if any paper-vs-measured check fails, so it
@@ -46,10 +47,11 @@ finishes a killed sweep from that journal (byte-identical artifacts),
 ``--store`` caches outcomes content-addressed by code fingerprint, and
 ``diff`` compares two artifact trees, exiting non-zero on regression.
 
-``bench`` times the activity-driven NoC cycle kernel against the frozen
-seed kernel (:mod:`repro.noc.reference`) and emits a JSON record;
-``--check`` gates the speedup ratio against a committed baseline (see
-:mod:`repro.bench` and the README "Performance" section).
+``bench`` times each kernel against its reference (the frozen seed
+kernels, the event kernel, the bare engine) and emits a JSON record;
+``--check`` gates the speedup ratios against a committed baseline and
+each workload's floor (see :mod:`repro.bench` and the README
+"Performance" section).
 """
 
 from __future__ import annotations
@@ -841,24 +843,12 @@ def _counter_rollup(outcomes) -> dict:
 
 
 def _cmd_bench(args, parser) -> int:
-    from dataclasses import replace
-
     from . import bench as bench_mod
 
-    run_noc = args.suite in ("noc", "all")
-    run_gate = args.suite in ("gate", "all")
-    run_compiled = args.suite in ("compiled", "all")
-    run_sweep = args.suite in ("sweep", "all")
-    if not run_noc and (args.mesh or args.rates):
+    if args.suite not in ("noc", "all") and (args.mesh or args.rates):
         parser.error("--mesh/--rates only apply to the noc suite")
-
-    workload = dict(
-        pattern=args.pattern, routing=args.routing, n_vcs=args.vcs,
-        kind=args.kind, cycles=args.cycles,
-    )
-    if not run_noc:
-        points = []
-    elif args.mesh or args.rates:
+    pairs = bench_mod.NOC_POINTS
+    if args.mesh or args.rates:
         try:
             meshes = [int(m) for m in (args.mesh or "4,8").split(",") if m]
             rates = [
@@ -872,94 +862,25 @@ def _cmd_bench(args, parser) -> int:
             parser.error("--mesh sizes must be >= 1")
         if any(not 0.0 <= r <= 1.0 for r in rates):
             parser.error("--rates must be in [0, 1] flits/node/cycle")
-        points = [
-            bench_mod.BenchPoint(
-                mesh_size=mesh, injection_rate=rate, **workload
-            )
-            for mesh in meshes
-            for rate in rates
-        ]
-    else:
-        # the standard mesh x rate gate points, with any workload
-        # options (--pattern/--routing/--vcs/--kind) applied on top
-        points = [
-            replace(point, **workload)
-            for point in bench_mod.default_points(args.cycles)
-        ]
-
-    gate_points = (
-        bench_mod.default_gate_points(scale=args.gate_scale)
-        if run_gate else []
-    )
-    compiled_points = (
-        bench_mod.default_compiled_points(scale=args.compiled_scale)
-        if run_compiled else []
-    )
-    sweep_points = (
-        bench_mod.default_sweep_points(scale=args.sweep_scale)
-        if run_sweep else []
-    )
-
-    def progress(outcome):
-        if hasattr(outcome, "fabric_pps"):
-            # sweep suite: the ratio is dispatch efficiency, not a
-            # kernel speedup — word it as overhead, not a win
-            eff = (
-                f"{outcome.speedup:.1%} of bare-engine throughput"
-                if outcome.speedup is not None else "reference skipped"
-            )
-            match = ""
-            if outcome.stats_match is True:
-                match = ", results identical"
-            elif outcome.stats_match is False:
-                match = ", RESULTS DIVERGED"
-            print(
-                f"{outcome.point.key}: {outcome.fabric_pps:,.0f} "
-                f"points/sec through the fabric ({eff}{match})"
-            )
-            return
-        speed = (
-            f"{outcome.speedup:.2f}x vs reference"
-            if outcome.speedup is not None else "reference skipped"
-        )
-        match = ""
-        if outcome.stats_match is True:
-            match = ", stats identical"
-        elif outcome.stats_match is False:
-            match = ", STATS DIVERGED"
-        if hasattr(outcome, "optimized_lps"):
-            rate = f"{outcome.optimized_lps:,.0f} lane-steps/sec"
-        elif hasattr(outcome, "optimized_eps"):
-            rate = f"{outcome.optimized_eps:,.0f} events/sec"
-        else:
-            rate = f"{outcome.optimized_cps:,.0f} cycles/sec"
-        print(f"{outcome.point.key}: {rate} ({speed}{match})")
-
+        pairs = [(mesh, rate) for mesh in meshes for rate in rates]
+    # noc rows take the workload options and are sized by --cycles; the
+    # other suites' table rows are sized by --scale
+    rows = [
+        bench_mod.noc_workload(mesh, rate, pattern=args.pattern,
+                               routing=args.routing, n_vcs=args.vcs,
+                               kind=args.kind)
+        for mesh, rate in pairs
+    ] if args.suite in ("noc", "all") else []
+    rows += [row for row in bench_mod.WORKLOADS
+             if row.suite != "noc" and args.suite in (row.suite, "all")]
+    points = [
+        (row, args.cycles if row.suite == "noc" else row.scaled(args.scale))
+        for row in rows
+    ]
     document = bench_mod.run_bench(
-        points,
-        reference=not args.no_reference,
-        repeats=args.repeats,
-        progress=progress,
-        gate_points=gate_points,
-        compiled_points=compiled_points,
-        sweep_points=sweep_points,
+        points, reference=not args.no_reference, repeats=args.repeats,
+        progress=print, profile_slowest=args.profile,
     )
-    if args.profile:
-        if points:
-            # profile the most loaded point — highest injection rate,
-            # then largest mesh — where the hot paths actually dominate
-            target = max(
-                points, key=lambda p: (p.injection_rate, p.mesh_size)
-            )
-            print(f"\ncProfile of the optimized kernel ({target.key}):")
-            print(bench_mod.profile_point(target))
-        if gate_points:
-            gate_target = gate_points[0]  # the serializer-i3 gate point
-            print(
-                f"\ncProfile of the optimized sim kernel "
-                f"({gate_target.key}):"
-            )
-            print(bench_mod.profile_gate_point(gate_target))
     if args.json:
         bench_mod.write_json(document, args.json)
         print(f"bench JSON written to {args.json}")
@@ -974,59 +895,6 @@ def _cmd_bench(args, parser) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.min_compiled_speedup is not None:
-        slow = []
-        for p in document["points"]:
-            if p.get("suite") != "compiled":
-                continue
-            # the batch floor only makes sense where there is a batch:
-            # single-lane points (ringosc) must merely not lose to the
-            # event kernel
-            floor = (
-                args.min_compiled_speedup
-                if p.get("lanes", 1) > 1 else 1.0
-            )
-            speedup = p.get("speedup")
-            if speedup is None:
-                slow.append(f"{p['key']}: no speedup recorded "
-                            f"(ran with --no-reference?)")
-            elif speedup < floor:
-                slow.append(
-                    f"{p['key']}: {speedup:.2f}x below the "
-                    f"{floor:g}x floor (--min-compiled-speedup)"
-                )
-        if slow:
-            for problem in slow:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"compiled-suite speedups clear the "
-            f"{args.min_compiled_speedup:g}x batch floor (1x single-lane)"
-        )
-    if args.min_sweep_efficiency is not None:
-        slow = []
-        for p in document["points"]:
-            if p.get("suite") != "sweep":
-                continue
-            efficiency = p.get("speedup")
-            if efficiency is None:
-                slow.append(f"{p['key']}: no efficiency recorded "
-                            f"(ran with --no-reference?)")
-            elif efficiency < args.min_sweep_efficiency:
-                slow.append(
-                    f"{p['key']}: {efficiency:.2%} of bare-engine "
-                    f"throughput, below the "
-                    f"{args.min_sweep_efficiency:.2%} floor "
-                    f"(--min-sweep-efficiency)"
-                )
-        if slow:
-            for problem in slow:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"sweep-suite dispatch efficiency clears the "
-            f"{args.min_sweep_efficiency:.2%} floor"
-        )
     if args.check:
         try:
             baseline = bench_mod.load_baseline(args.check)
@@ -1034,14 +902,14 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"cannot read baseline {args.check}: {exc}")
         problems = bench_mod.check_against_baseline(
             document, baseline, tolerance=args.tolerance
-        )
+        ) + bench_mod.check_floors(points, document)
         if problems:
             for problem in problems:
                 print(f"bench regression: {problem}", file=sys.stderr)
             return 1
         print(
             f"bench speedups within {args.tolerance:.0%} of "
-            f"{args.check}"
+            f"{args.check} and above every row's floor"
         )
     return 0
 
@@ -1437,31 +1305,9 @@ def build_parser() -> argparse.ArgumentParser:
              "bare engine) (default noc)",
     )
     p_bench.add_argument(
-        "--gate-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the gate-suite workload sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--compiled-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the compiled-suite workload sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--min-compiled-speedup", type=float, default=None, metavar="X",
-        help="fail unless every batched compiled point reaches X times "
-             "the event kernel's aggregate lanes/sec (single-lane "
-             "points are held to 1x); the CI bench job gates at 4x",
-    )
-    p_bench.add_argument(
-        "--sweep-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the sweep-suite grid sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--min-sweep-efficiency", type=float, default=None, metavar="F",
-        help="fail unless every sweep point keeps at least fraction F "
-             "of bare-engine points/sec when dispatched through the "
-             "fabric (a scheduling-overhead ceiling)",
+        "--scale", type=float, default=1.0, metavar="FRAC",
+        help="scale factor for the gate, compiled and sweep workload "
+             "sizes (default 1.0; --fast uses 0.5)",
     )
     p_bench.add_argument(
         "--mesh", metavar="N1,N2,...",
@@ -1484,12 +1330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kind", default="I3", choices=("I1", "I2", "I3"),
                          help="link implementation (default I3)")
     p_bench.add_argument("--cycles", type=int, default=1500, metavar="N",
-                         help="timed cycles per point (default 1500)")
+                         help="timed cycles per noc point (default 1500)")
     p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
                          help="best-of-N timing repeats (default 3)")
     p_bench.add_argument(
         "--fast", action="store_true",
-        help="short run: 300 cycles, 2 repeats (CI smoke)",
+        help="short run: at most 300 cycles and --scale 0.5 (CI smoke)",
     )
     p_bench.add_argument(
         "--no-reference", action="store_true",
@@ -1497,14 +1343,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--profile", action="store_true",
-        help="cProfile the optimized run of the most loaded point",
+        help="cProfile the slowest optimized run of each suite",
     )
     p_bench.add_argument("--json", metavar="PATH",
                          help="write the bench document to PATH")
     p_bench.add_argument(
         "--check", metavar="BASELINE",
-        help="compare speedups against a committed bench JSON; exit 1 "
-             "when any point regresses beyond --tolerance",
+        help="compare speedups against a committed bench JSON and each "
+             "workload's floor; exit 1 when any point regresses beyond "
+             "--tolerance or falls below its floor",
     )
     p_bench.add_argument(
         "--tolerance", type=float, default=0.30, metavar="REL",
@@ -1529,41 +1376,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--repeats must be >= 1")
         if args.vcs < 1:
             parser.error("--vcs must be >= 1")
-        if args.gate_scale <= 0:
-            parser.error("--gate-scale must be positive")
-        if args.compiled_scale <= 0:
-            parser.error("--compiled-scale must be positive")
-        if args.sweep_scale <= 0:
-            parser.error("--sweep-scale must be positive")
-        if args.suite not in ("gate", "all") and args.gate_scale != 1.0:
+        if args.scale <= 0:
+            parser.error("--scale must be positive")
+        if args.suite == "noc" and args.scale != 1.0:
             # checked before --fast rescales it: reject only an explicit
             # user-supplied value that the selected suite would ignore
-            parser.error("--gate-scale only applies to the gate suite")
-        if (args.suite not in ("compiled", "all")
-                and args.compiled_scale != 1.0):
-            parser.error(
-                "--compiled-scale only applies to the compiled suite"
-            )
-        if (args.suite not in ("compiled", "all")
-                and args.min_compiled_speedup is not None):
-            parser.error(
-                "--min-compiled-speedup only applies to the "
-                "compiled suite"
-            )
-        if args.suite not in ("sweep", "all") and args.sweep_scale != 1.0:
-            parser.error("--sweep-scale only applies to the sweep suite")
-        if (args.suite not in ("sweep", "all")
-                and args.min_sweep_efficiency is not None):
-            parser.error(
-                "--min-sweep-efficiency only applies to the sweep suite"
-            )
+            parser.error("--scale does not apply to the noc suite "
+                         "(size it with --cycles)")
         if args.fast:
             # short cycles only; repeats stay (best-of-N absorbs
             # scheduler noise, which dominates sub-second timings)
             args.cycles = min(args.cycles, 300)
-            args.gate_scale = min(args.gate_scale, 0.5)
-            args.compiled_scale = min(args.compiled_scale, 0.5)
-            args.sweep_scale = min(args.sweep_scale, 0.5)
+            args.scale = min(args.scale, 0.5)
         return _cmd_bench(args, parser)
     if args.command == "list":
         return _cmd_list(args, parser)

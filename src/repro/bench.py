@@ -1,307 +1,149 @@
 """Kernel benchmark harness behind ``python -m repro bench``.
 
-Four suites, selected with ``--suite {noc,gate,compiled,sweep,all}``:
-
-* **noc** — simulated-cycles-per-second of the optimized activity-driven
-  NoC cycle kernel (:mod:`repro.noc.network`) vs the frozen seed kernel
-  (:mod:`repro.noc.reference`);
-* **gate** — events-per-second of the optimized gate-level event kernel
-  (:mod:`repro.sim`: calendar-queue scheduler, true inertial
-  cancellation, allocation-free signal dispatch) vs the frozen seed
-  kernel (:mod:`repro.sim.reference`) on serializer-link testbenches, a
-  four-phase wire-buffer chain and a free-running ring oscillator;
-* **compiled** — aggregate lanes-per-second of the bit-parallel compiled
-  backend (:mod:`repro.compiled`: levelized netlist, 64 simulation
-  lanes per 64-bit word) vs the *optimized* event kernel evaluating one
-  lane of the identical workload — the ratio prices what packing a
-  Monte Carlo batch into one word buys over running its lanes one by
-  one on the incumbent kernel;
-* **sweep** — points-per-second of a no-op grid (``sweep-noop``, zero
-  computation per point) dispatched through the distributed sweep
-  fabric (:mod:`repro.fabric`: coordinator, file leases, a local
-  worker) vs the bare engine on the identical grid — the ratio is
-  pure scheduling overhead, and the committed baseline gates how much
-  of it the fabric may cost.
-
-Both report the speedup per point and emit a JSON document so the
-performance trajectory is recorded rather than anecdotal.
-
-Two properties make the numbers trustworthy:
-
-* every timed pair also cross-checks that both kernels produced
-  bit-identical results (``stats_match`` in the JSON): NetworkStats
-  summaries for the noc suite, delivery timestamps / received values /
-  activity counters for the gate suite, lane-0 settled net values and
-  transition counters for the compiled suite — a fast kernel that
-  computes the wrong answer fails the bench;
-* regression checking (``--check``) compares the *speedup ratio*
-  against a committed baseline, not absolute throughput: the ratio of
-  two kernels timed on the same host in the same process is stable
-  across machines, where raw cycles/sec is dominated by whatever CPU
-  the CI runner happened to get.
-
-The gate suite's speedup is the wall-clock ratio on the identical
-workload — the two kernels execute different event *counts* for the
-same circuit (the seed runs superseded inertial drives as no-ops, the
-optimized kernel cancels them), so the ratio is quoted in the seed
-kernel's event currency.
-
-``--profile`` wraps the most loaded point's optimized run (highest
-injection rate, then largest mesh) in :mod:`cProfile` and prints the
-hottest functions, which is how the active-set work was targeted in
-the first place.
+Every timed workload is one row of :data:`WORKLOADS`; its ``build``
+returns a :class:`Trial` with an optimized and a reference side and a
+cross-check of their answers.  One harness times every row: best-of-N
+wall per side, ``speedup = lanes * reference_wall / optimized_wall``
+(``lanes`` > 1 only on the compiled fault batch: aggregate lanes/sec),
+``stats_match`` from the cross-check, and counter deltas from one extra
+*untimed* replay.  ``--check`` gates each speedup against a committed
+baseline (a ratio of two kernels timed in one process is stable across
+machines; raw throughput is not) and holds rows to their floor.
 """
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
 import io
-import pstats
 import json
+import pstats
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Tuple
 
-from .link.behavioral import derive_link_params
 from .obs import metrics as obs_metrics
-from .noc import (
-    Network,
-    Topology,
-    TrafficConfig,
-    TrafficGenerator,
-    reset_packet_ids,
-)
-from .noc.reference import ReferenceNetwork
-from .tech import st012
 
-#: bench schema version, bumped on incompatible JSON layout changes
-#: (2: added the gate-level suite; points carry a ``suite`` field;
-#: 3: added the compiled suite — lane counts and wall-clock fields;
-#: 4: added the sweep suite — fabric scheduling-overhead points;
-#: readers keep accepting schema-1/2/3 documents unchanged)
+#: bench JSON schema (2: gate, 3: compiled, 4: sweep suite added)
 SCHEMA = 4
 
-#: default operating points: (mesh_size, injection_rate) — the nominal
-#: 4x4 point plus the 8x8 low-load and saturation gates from the perf
-#: acceptance criteria
-DEFAULT_POINTS: Sequence[tuple[int, float]] = ((4, 0.10), (8, 0.02), (8, 0.35))
+#: one side of a trial, a generator: untimed set-up up to a bare
+#: ``yield``, the timed run up to a ``yield`` of the run's artifact,
+#: then untimed teardown
+Setup = Callable[[], Iterator[Any]]
 
 
 @dataclass(frozen=True)
-class BenchPoint:
-    """One timed workload configuration."""
+class Trial:
+    """A sized workload (what ``Workload.build`` returns): ``check``
+    compares the two sides' artifacts, ``work`` is an artifact's rate
+    numerator and ``extra`` the suite's own record fields."""
 
-    mesh_size: int
-    injection_rate: float
-    pattern: str = "uniform"
-    routing: str = "xy"
-    n_vcs: int = 1
-    kind: str = "I3"
-    freq_mhz: float = 300.0
-    cycles: int = 1500
-    seed: int = 2008
-
-    @property
-    def key(self) -> str:
-        """Stable identity used to match points across bench runs."""
-        return (
-            f"{self.mesh_size}x{self.mesh_size}"
-            f"@{self.injection_rate:g}/{self.pattern}"
-            f"/{self.routing}/vc{self.n_vcs}/{self.kind}"
-        )
-
-
-@dataclass
-class BenchResult:
-    """Timing + verification outcome of one point."""
-
-    point: BenchPoint
-    optimized_cps: float
-    reference_cps: Optional[float]
-    stats_match: Optional[bool]
-    flits_ejected: int
-    active_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.reference_cps:
-            return None
-        return self.optimized_cps / self.reference_cps
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "noc",
-            "key": self.point.key,
-            "mesh_size": self.point.mesh_size,
-            "injection_rate": self.point.injection_rate,
-            "pattern": self.point.pattern,
-            "routing": self.point.routing,
-            "n_vcs": self.point.n_vcs,
-            "kind": self.point.kind,
-            "cycles": self.point.cycles,
-            "optimized_cps": round(self.optimized_cps, 1),
-            "reference_cps": (
-                round(self.reference_cps, 1) if self.reference_cps else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-            "flits_ejected": self.flits_ejected,
-            "active_counts_final": self.active_counts,
-        }
-
-
-def _build(point: BenchPoint, network_cls):
-    reset_packet_ids()
-    topology = Topology(point.mesh_size, point.mesh_size)
-    params = derive_link_params(st012(), point.kind, point.freq_mhz)
-    network = network_cls(topology, params, n_vcs=point.n_vcs,
-                         routing=point.routing)
-    hotspot = None
-    if point.pattern == "hotspot":
-        hotspot = (topology.cols // 2, topology.rows // 2)
-    traffic = TrafficGenerator(
-        topology,
-        TrafficConfig(
-            pattern=point.pattern,
-            injection_rate=point.injection_rate,
-            seed=point.seed,
-            hotspot=hotspot,
-            n_vcs=point.n_vcs,
-        ),
-    )
-    return network, traffic
-
-
-def _time_run(point: BenchPoint, network_cls, repeats: int):
-    """Best-of-``repeats`` cycles/sec plus the final network (for stats)."""
-    best = 0.0
-    network = None
-    for _ in range(repeats):
-        network, traffic = _build(point, network_cls)
-        t0 = time.perf_counter()
-        network.run(point.cycles, traffic)
-        elapsed = time.perf_counter() - t0
-        best = max(best, point.cycles / elapsed if elapsed > 0 else 0.0)
-    return best, network
-
-
-def run_point(
-    point: BenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> BenchResult:
-    """Time one point on the optimized (and optionally seed) kernel."""
-    opt_cps, opt_net = _time_run(point, Network, repeats)
-    ref_cps = None
-    stats_match = None
-    if reference:
-        ref_cps, ref_net = _time_run(point, ReferenceNetwork, repeats)
-        stats_match = (
-            opt_net.stats.summary() == ref_net.stats.summary()
-            and opt_net.stats.packet_latencies
-            == ref_net.stats.packet_latencies
-        )
-    return BenchResult(
-        point=point,
-        optimized_cps=opt_cps,
-        reference_cps=ref_cps,
-        stats_match=stats_match,
-        flits_ejected=opt_net.stats.flits_ejected,
-        active_counts=dict(opt_net.active_component_counts),
-    )
-
-
-def profile_point(point: BenchPoint, top: int = 15) -> str:
-    """cProfile the optimized kernel on ``point``; return a pstats table."""
-    network, traffic = _build(point, Network)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    network.run(point.cycles, traffic)
-    profiler.disable()
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buf.getvalue()
-
-
-# ----------------------------------------------------------------------
-# gate-level event-kernel suite
-# ----------------------------------------------------------------------
-#: workload ids of the gate suite and their default sizes (the unit is
-#: flits for the serializer testbenches, tokens for the four-phase
-#: chain, and nanoseconds of free-running oscillation for the ring)
-GATE_WORKLOADS: Sequence[tuple[str, int]] = (
-    ("serializer-i3", 24),
-    ("serializer-i2", 16),
-    ("fourphase-chain", 40),
-    ("ringosc", 40_000),
-)
+    optimized: Setup
+    reference: Setup
+    check: Callable[[Any, Any], bool]
+    work: Callable[[Any], float]
+    extra: Callable[[Any], Dict[str, object]]
+    lanes: int = 1
 
 
 @dataclass(frozen=True)
-class GateBenchPoint:
-    """One timed gate-level workload configuration.
+class Workload:
+    """One row of the bench table: ``size`` is the default size in the
+    row's own unit (cycles, flits, tokens, ns, vectors, toggles, grid
+    points), recorded as ``cycles``; ``fields`` name the record's
+    (optimized rate, reference rate, optimized wall, reference wall),
+    ``None`` leaving one out; ``floor`` is the speedup ``--check``
+    demands."""
 
-    ``size`` is the workload length in the workload's own unit; it is
-    recorded as ``cycles`` in the JSON so the baseline check's
-    workload-length comparability rule applies unchanged.
-    """
-
-    workload: str
+    suite: str
+    name: str
     size: int
+    unit: str
+    fields: Tuple[Optional[str], ...]
+    build: Callable[[int], Trial] = field(compare=False)
+    floor: Optional[float] = None
+    min_size: int = 1  # the smallest size ``--scale`` may shrink it to
 
-    @property
-    def key(self) -> str:
-        return f"gate/{self.workload}@{self.size}"
+    def key(self, size: int) -> str:
+        """Stable identity used to match points across bench runs (noc
+        keys predate sized keys: they name the mesh configuration)."""
+        if self.suite == "noc":
+            return self.name
+        return f"{self.suite}/{self.name}@{size}"
 
-
-@dataclass
-class GateBenchResult:
-    """Timing + cross-check outcome of one gate-level point."""
-
-    point: GateBenchPoint
-    optimized_eps: float
-    optimized_wall_s: float
-    reference_eps: Optional[float]
-    reference_wall_s: Optional[float]
-    stats_match: Optional[bool]
-    events_executed: int
-    events_cancelled: int
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Wall-clock ratio on the identical workload (the seed kernel's
-        events/sec currency; see the module docstring)."""
-        if not self.reference_wall_s or not self.optimized_wall_s:
-            return None
-        return self.reference_wall_s / self.optimized_wall_s
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "gate",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "optimized_eps": round(self.optimized_eps, 1),
-            "reference_eps": (
-                round(self.reference_eps, 1) if self.reference_eps else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-            "events_executed": self.events_executed,
-            "events_cancelled": self.events_cancelled,
-        }
+    def scaled(self, scale: float) -> int:
+        return max(self.min_size, round(self.size * scale))
 
 
-def _gate_serializer(stack, kind: str, n_flits: int):
-    """Serializer-link testbench workload; fingerprint pins delivery."""
+# -- noc: cycle kernel vs the seed kernel --------------------------------
+#: default (mesh_size, injection_rate): nominal, low load, saturation
+NOC_POINTS: Sequence[Tuple[int, float]] = ((4, 0.10), (8, 0.02), (8, 0.35))
+
+
+def _noc_trial(config: Dict[str, object], cycles: int) -> Trial:
+    from .link.behavioral import derive_link_params
+    from .noc import (Network, Topology, TrafficConfig, TrafficGenerator,
+                      reset_packet_ids)
+    from .noc.reference import ReferenceNetwork
+    from .tech import st012
+
+    def setup(network_cls):
+        reset_packet_ids()
+        topology = Topology(config["mesh_size"], config["mesh_size"])
+        params = derive_link_params(st012(), config["kind"], 300.0)
+        network = network_cls(topology, params, n_vcs=config["n_vcs"],
+                              routing=config["routing"])
+        hotspot = ((topology.cols // 2, topology.rows // 2)
+                   if config["pattern"] == "hotspot" else None)
+        traffic = TrafficGenerator(topology, TrafficConfig(
+            pattern=config["pattern"],
+            injection_rate=config["injection_rate"],
+            seed=2008, hotspot=hotspot, n_vcs=config["n_vcs"],
+        ))
+        yield
+        network.run(cycles, traffic)
+        yield network
+
+    return Trial(
+        optimized=partial(setup, Network),
+        reference=partial(setup, ReferenceNetwork),
+        check=lambda opt, ref: (
+            opt.stats.summary() == ref.stats.summary()
+            and opt.stats.packet_latencies == ref.stats.packet_latencies),
+        work=lambda _network: cycles,
+        extra=lambda network: {
+            **config,
+            "flits_ejected": network.stats.flits_ejected,
+            "active_counts_final": dict(network.active_component_counts),
+        },
+    )
+
+
+def noc_workload(mesh_size: int, injection_rate: float,
+                 pattern: str = "uniform", routing: str = "xy",
+                 n_vcs: int = 1, kind: str = "I3") -> Workload:
+    """A noc row for one mesh configuration (sized in cycles)."""
+    config = dict(mesh_size=mesh_size, injection_rate=injection_rate,
+                  pattern=pattern, routing=routing, n_vcs=n_vcs, kind=kind)
+    name = (f"{mesh_size}x{mesh_size}@{injection_rate:g}/{pattern}"
+            f"/{routing}/vc{n_vcs}/{kind}")
+    return Workload("noc", name, 1500, "cycles/sec",
+                    ("optimized_cps", "reference_cps"),
+                    partial(_noc_trial, config))
+
+
+# -- gate: event kernel vs the seed kernel ------------------------------
+# Each workload is a Setup over one kernel ``stack``; its artifact is
+# ``(sim, fingerprint thunk)``, which must agree across the kernels.
+def _gate_serializer(kind: str, stack, n_flits: int):
+    """Serializer-link testbench; the fingerprint pins delivery."""
     from .link import LinkConfig, LinkTestbench, build_i2, build_i3
+    from .tech import st012
 
     sim = stack.Simulator()
     clock = stack.Clock.from_mhz(sim, 300)
@@ -309,43 +151,34 @@ def _gate_serializer(stack, kind: str, n_flits: int):
     link = builder(sim, clock.signal, LinkConfig(), st012())
     bench = LinkTestbench(sim, clock, link)
     flits = [(0xA5A5A5A5, 0x5A5A5A5A)[i % 2] for i in range(n_flits)]
-
-    def run():
-        return bench.run(flits)
-
-    def fingerprint(measurement):
-        return (
-            link.flits_accepted(),
-            link.flits_delivered(),
-            tuple(measurement.received_values),
-            tuple(measurement.delivery_times_ps),
-            tuple(
-                (group, link.monitor.transitions(group))
-                for group in sorted(link.monitor.groups)
-            ),
-        )
-
-    return sim, run, fingerprint
+    yield
+    measurement = bench.run(flits)
+    yield sim, lambda: (
+        link.flits_accepted(), link.flits_delivered(),
+        tuple(measurement.received_values),
+        tuple(measurement.delivery_times_ps),
+        tuple((group, link.monitor.transitions(group))
+              for group in sorted(link.monitor.groups)),
+    )
 
 
 def _gate_fourphase(stack, n_tokens: int):
     """Four-phase wire-buffer-chain token pump."""
     from .link.wiring import AsyncWireBufferChain, wire
     from .sim.process import Delay, WaitValue
+    from .tech import st012
 
     tech = st012()
+    t_p = tech.handshake.t_p_per_segment
     sim = stack.Simulator()
     data_in = sim.bus(8, "din")
     req_in = sim.signal("req")
     chain = AsyncWireBufferChain(
-        sim, data_in, req_in, 4,
-        t_p_ps=tech.handshake.t_p_per_segment,
-        delays=tech.gates,
-        ctl_delay_ps=tech.handshake.t_wire_buffer_ctl,
-        name="chain",
+        sim, data_in, req_in, 4, t_p_ps=t_p, delays=tech.gates,
+        ctl_delay_ps=tech.handshake.t_wire_buffer_ctl, name="chain",
     )
     ack_back = sim.signal("ackback")
-    wire(chain.ack_out, ack_back, tech.handshake.t_p_per_segment)
+    wire(chain.ack_out, ack_back, t_p)
     received: List[int] = []
 
     def source():
@@ -366,780 +199,373 @@ def _gate_fourphase(stack, n_tokens: int):
             yield WaitValue(chain.req_out, 0)
             chain.ack_in.set(0)
 
-    def run():
-        stack.spawn(sim, source(), "src")
-        stack.spawn(sim, sink(), "snk")
-        sim.run(max_events=50_000_000)
-        return None
+    yield
+    stack.spawn(sim, source(), "src")
+    stack.spawn(sim, sink(), "snk")
+    sim.run(max_events=50_000_000)
+    yield sim, lambda: (tuple(received), sim.now,
+                        chain.data_out.transitions, chain.req_out.transitions)
 
-    def fingerprint(_result):
-        return (
-            tuple(received),
-            sim.now,
-            chain.data_out.transitions,
-            chain.req_out.transitions,
-        )
 
-    return sim, run, fingerprint
+def _ring(sim):
+    """A five-stage gated ring oscillator: pure kernel churn."""
+    from .elements.ringosc import RingOscillator
+
+    enable = sim.signal("en")
+    return enable, RingOscillator(sim, enable, stages=5)
 
 
 def _gate_ringosc(stack, duration_ns: int):
-    """Free-running gated ring oscillator: pure kernel churn."""
-    from .elements.ringosc import RingOscillator
-
     sim = stack.Simulator()
-    enable = sim.signal("en")
-    osc = RingOscillator(sim, enable, stages=5)
+    enable, osc = _ring(sim)
     enable.set(1)
-
-    def run():
-        sim.run(until=duration_ns * 1000)
-        return None
-
-    def fingerprint(_result):
-        return (osc.out.transitions, osc.out.value, sim.now)
-
-    return sim, run, fingerprint
+    yield
+    sim.run(until=duration_ns * 1000)
+    yield sim, lambda: (osc.out.transitions, osc.out.value, sim.now)
 
 
-def _build_gate_workload(stack, point: GateBenchPoint):
-    if point.workload == "serializer-i3":
-        return _gate_serializer(stack, "I3", point.size)
-    if point.workload == "serializer-i2":
-        return _gate_serializer(stack, "I2", point.size)
-    if point.workload == "fourphase-chain":
-        return _gate_fourphase(stack, point.size)
-    if point.workload == "ringosc":
-        return _gate_ringosc(stack, point.size)
-    raise ValueError(f"unknown gate workload {point.workload!r}")
-
-
-def _time_gate_run(point: GateBenchPoint, stack, repeats: int):
-    """Best-of-``repeats`` wall seconds plus the final run's artifacts."""
-    best = float("inf")
-    sim = fingerprint = None
-    for _ in range(repeats):
-        sim, run, fp = _build_gate_workload(stack, point)
-        t0 = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-        fingerprint = fp(result)
-    return best, sim, fingerprint
-
-
-def run_gate_point(
-    point: GateBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> GateBenchResult:
-    """Time one gate workload on the optimized (and seed) sim kernel."""
+def _gate_trial(workload, size: int) -> Trial:
     import repro.sim as optimized_stack
     from .sim import reference as reference_stack
 
-    opt_wall, opt_sim, opt_fp = _time_gate_run(
-        point, optimized_stack, repeats
-    )
-    ref_wall = ref_eps = None
-    stats_match = None
-    if reference:
-        ref_wall, ref_sim, ref_fp = _time_gate_run(
-            point, reference_stack, repeats
-        )
-        ref_eps = ref_sim.events_executed / ref_wall if ref_wall else 0.0
-        stats_match = opt_fp == ref_fp
-    return GateBenchResult(
-        point=point,
-        optimized_eps=(
-            opt_sim.events_executed / opt_wall if opt_wall else 0.0
-        ),
-        optimized_wall_s=opt_wall,
-        reference_eps=ref_eps,
-        reference_wall_s=ref_wall,
-        stats_match=stats_match,
-        events_executed=opt_sim.events_executed,
-        events_cancelled=getattr(opt_sim, "events_cancelled", 0),
+    return Trial(
+        optimized=partial(workload, optimized_stack, size),
+        reference=partial(workload, reference_stack, size),
+        check=lambda opt, ref: opt[1]() == ref[1](),
+        work=lambda artifact: artifact[0].events_executed,
+        extra=lambda artifact: {
+            "events_executed": artifact[0].events_executed,
+            "events_cancelled": artifact[0].events_cancelled,
+        },
     )
 
 
-def profile_gate_point(point: GateBenchPoint, top: int = 15) -> str:
-    """cProfile the optimized sim kernel on ``point``; a pstats table."""
-    import repro.sim as optimized_stack
-
-    _sim, run, _fp = _build_gate_workload(optimized_stack, point)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run()
-    profiler.disable()
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buf.getvalue()
-
-
-def default_gate_points(scale: float = 1.0) -> List[GateBenchPoint]:
-    """The standard gate-suite points, workload sizes scaled by ``scale``
-    (the CLI's ``--fast`` passes a fraction)."""
-    return [
-        GateBenchPoint(workload, max(4, round(size * scale)))
-        for workload, size in GATE_WORKLOADS
-    ]
-
-
-# ----------------------------------------------------------------------
-# bit-parallel compiled-backend suite
-# ----------------------------------------------------------------------
-#: workload ids of the compiled suite and their default sizes (the unit
-#: is stimulus vectors for the fault batch, output toggles for the
-#: free-running ring oscillator)
-COMPILED_WORKLOADS: Sequence[tuple[str, int]] = (
-    ("fault-batch", 12),
-    ("ringosc", 20_000),
-)
-
-#: fault-batch lane layout: 16 seeds x (1 golden + 3 stuck-net lanes)
-#: fill the 64-bit word exactly
-_BATCH_SEEDS = 16
-_BATCH_FAULTS = 3
-
-
-@dataclass(frozen=True)
-class CompiledBenchPoint:
-    """One timed compiled-backend workload configuration.
-
-    ``size`` is recorded as ``cycles`` in the JSON so the baseline
-    check's workload-length comparability rule applies unchanged.
-    """
-
-    workload: str
-    size: int
-
-    @property
-    def key(self) -> str:
-        return f"compiled/{self.workload}@{self.size}"
-
-
-@dataclass
-class CompiledBenchResult:
-    """Timing + lane-0 cross-check outcome of one compiled point.
-
-    ``speedup`` is *aggregate lanes per second*: the compiled run
-    evaluates ``lanes`` independent simulations per pass, the reference
-    (the optimized event kernel) evaluates exactly one of them — so the
-    ratio is ``lanes * reference_wall / compiled_wall``.
-    """
-
-    point: CompiledBenchPoint
-    lanes: int
-    compiled_wall_s: float
-    reference_wall_s: Optional[float]
-    stats_match: Optional[bool]
-    #: workload steps executed (phases for fault-batch, toggles for
-    #: ringosc) — the throughput denominator
-    steps: int
-
-    @property
-    def optimized_lps(self) -> float:
-        """Aggregate lane-steps per second of the compiled run."""
-        if not self.compiled_wall_s:
-            return 0.0
-        return self.lanes * self.steps / self.compiled_wall_s
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.reference_wall_s or not self.compiled_wall_s:
-            return None
-        return (
-            self.lanes * self.reference_wall_s / self.compiled_wall_s
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "compiled",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "lanes": self.lanes,
-            "compiled_lps": round(self.optimized_lps, 1),
-            "compiled_wall_s": round(self.compiled_wall_s, 6),
-            "reference_wall_s": (
-                round(self.reference_wall_s, 6)
-                if self.reference_wall_s else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-        }
-
-
-def _compiled_fault_batch(vectors: int):
-    """64-lane fault-injection batch on the compilable i3 bench.
-
-    Returns ``(run_compiled, run_reference, check)``: the first times a
-    full 64-lane stimulus replay (16 seeds, each a golden lane plus
-    three stuck-net lanes); the second times the optimized event kernel
-    driving lane 0's projection of the identical stimulus through the
-    same circuit; the third compares lane-0 settled values and the
-    aggregate sampled-transition counters bit for bit.
-    """
-    from .compiled import (
-        LANES,
-        MASK,
-        StepOracle,
-        build_bench,
-        compile_component,
-        lane_phases,
-        stimulus_phases,
-    )
+# -- compiled: bit-parallel backend vs one lane on the event kernel -----
+def _fault_batch_trial(vectors: int) -> Trial:
+    """64-lane fault-injection batch on the compilable i3 bench vs
+    lane 0's projection of its stimulus on the event kernel."""
+    from .compiled import (LANES, MASK, StepOracle, build_bench,
+                           compile_component, lane_phases, stimulus_phases)
     from .sim import Simulator
 
-    group = 1 + _BATCH_FAULTS
-    lane_seeds: List[int] = []
-    for seed in range(1, _BATCH_SEEDS + 1):
-        lane_seeds.extend([seed] * group)
-    phases = stimulus_phases("i3", lane_seeds, vectors, 32)
+    # 16 seeds x (1 golden + 3 stuck-net lanes) fill the 64-bit word
+    n_seeds, group = 16, 4
+    seeds = [s for s in range(1, n_seeds + 1) for _ in range(group)]
+    phases = stimulus_phases("i3", seeds, vectors, 32)
 
-    def build_circuit():
-        sim = Simulator()
-        bench = build_bench(sim, "i3", 32)
-        circuit = compile_component(bench.root,
-                                    forceable=bench.fault_sites)
-        for r in range(_BATCH_SEEDS):
+    def optimized():
+        bench = build_bench(Simulator(), "i3", 32)
+        sites = bench.fault_sites
+        circuit = compile_component(bench.root, forceable=sites)
+        for r in range(n_seeds):
             for j in range(1, group):
-                site = bench.fault_sites[
-                    (r + j) % len(bench.fault_sites)
-                ]
-                circuit.force(site, (j % 2) * MASK,
+                circuit.force(sites[(r + j) % len(sites)], (j % 2) * MASK,
                               lanes=1 << (r * group + j))
-        return circuit
-
-    def run_compiled():
-        circuit = build_circuit()
-        t0 = time.perf_counter()
+        yield
         for phase in phases:
             circuit.step(phase)
-        return time.perf_counter() - t0, circuit
+        yield circuit
 
-    lane0 = lane_phases(phases, 0)
-
-    def run_reference():
+    def reference():
         sim = Simulator()
-        bench = build_bench(sim, "i3", 32)
-        oracle = StepOracle(sim, bench.root)
-        t0 = time.perf_counter()
+        oracle = StepOracle(sim, build_bench(sim, "i3", 32).root)
+        lane0 = lane_phases(phases, 0)
+        yield
         for phase in lane0:
             oracle.step(phase)
-        return time.perf_counter() - t0, oracle
+        yield oracle
 
     def check(circuit, oracle) -> bool:
-        counts = circuit.counts()
-        ocounts = oracle.counts()
-        return (
-            circuit.lane_values(0) == oracle.values()
-            and counts["rising0"] == ocounts["rising"]
-            and counts["falling0"] == ocounts["falling"]
-        )
+        counts, ocounts = circuit.counts(), oracle.counts()
+        return (circuit.lane_values(0) == oracle.values()
+                and counts["rising0"] == ocounts["rising"]
+                and counts["falling0"] == ocounts["falling"])
 
-    return LANES, len(phases), run_compiled, run_reference, check
+    return Trial(optimized, reference, check,
+                 work=lambda _circuit: LANES * len(phases),
+                 extra=lambda _circuit: {"lanes": LANES}, lanes=LANES)
 
 
-def _compiled_ringosc(toggles: int):
-    """Single-lane ring oscillator: the compiled backend's worst case.
-
-    No batch to amortize over — one free-running state element ticking
-    ``toggles`` times — so the speedup here prices raw per-step
-    overhead against the event kernel (the gate is only >= 1x).
-    """
+def _compiled_ringosc_trial(toggles: int) -> Trial:
+    """Single-lane ring oscillator, the compiled backend's worst case:
+    no batch to amortize over, so the ratio prices raw per-step cost."""
     from .compiled import MASK, compile_component
-    from .elements.ringosc import RingOscillator
     from .sim import Simulator
 
-    def run_compiled():
-        sim = Simulator()
-        enable = sim.signal("en")
-        osc = RingOscillator(sim, enable, stages=5)
+    def optimized():
+        enable, osc = _ring(Simulator())
         circuit = compile_component(osc)
         circuit.poke(enable, MASK)
         circuit.settle()
-        t0 = time.perf_counter()
+        yield
         circuit.tick(toggles)
-        return time.perf_counter() - t0, (circuit, osc)
+        yield circuit, osc
 
-    def run_reference():
+    def reference():
         sim = Simulator()
-        enable = sim.signal("en")
-        osc = RingOscillator(sim, enable, stages=5)
+        enable, osc = _ring(sim)
         enable.set(1)
-        t0 = time.perf_counter()
+        yield
         sim.run(until=toggles * osc.half_period + 1)
-        return time.perf_counter() - t0, (enable, osc)
+        yield enable, osc
 
-    def check(compiled_art, ref_art) -> bool:
-        circuit, cosc = compiled_art
-        enable, rosc = ref_art
+    def check(compiled, ref) -> bool:
+        (circuit, cosc), (enable, rosc) = compiled, ref
         counts = circuit.counts()
-        return (
-            circuit.lane(cosc.out, 0) == rosc.out.value
-            and counts["rising0"] == enable.rising + rosc.out.rising
-            and counts["falling0"] == enable.falling + rosc.out.falling
-        )
+        return (circuit.lane(cosc.out, 0) == rosc.out.value
+                and counts["rising0"] == enable.rising + rosc.out.rising
+                and counts["falling0"] == enable.falling + rosc.out.falling)
 
-    # a single meaningful lane: the other 63 compute the same ring
-    return 1, toggles, run_compiled, run_reference, check
-
-
-def _build_compiled_workload(point: CompiledBenchPoint):
-    if point.workload == "fault-batch":
-        return _compiled_fault_batch(point.size)
-    if point.workload == "ringosc":
-        return _compiled_ringosc(point.size)
-    raise ValueError(f"unknown compiled workload {point.workload!r}")
+    # one meaningful lane: the other 63 compute the same ring
+    return Trial(optimized, reference, check,
+                 work=lambda _artifact: toggles,
+                 extra=lambda _artifact: {"lanes": 1})
 
 
-def run_compiled_point(
-    point: CompiledBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> CompiledBenchResult:
-    """Time one compiled workload against the optimized event kernel."""
-    lanes, steps, run_compiled, run_reference, check = (
-        _build_compiled_workload(point)
-    )
-    comp_wall = float("inf")
-    comp_art = None
-    for _ in range(repeats):
-        elapsed, comp_art = run_compiled()
-        comp_wall = min(comp_wall, elapsed)
-    ref_wall = None
-    stats_match = None
-    if reference:
-        ref_wall = float("inf")
-        ref_art = None
-        for _ in range(repeats):
-            elapsed, ref_art = run_reference()
-            ref_wall = min(ref_wall, elapsed)
-        stats_match = check(comp_art, ref_art)
-    return CompiledBenchResult(
-        point=point,
-        lanes=lanes,
-        compiled_wall_s=comp_wall,
-        reference_wall_s=ref_wall,
-        stats_match=stats_match,
-        steps=steps,
-    )
-
-
-def default_compiled_points(scale: float = 1.0
-                            ) -> List[CompiledBenchPoint]:
-    """The standard compiled-suite points, sizes scaled by ``scale``."""
-    return [
-        CompiledBenchPoint(workload, max(2, round(size * scale)))
-        for workload, size in COMPILED_WORKLOADS
-    ]
-
-
-# ----------------------------------------------------------------------
-# sweep-fabric scheduling-overhead suite
-# ----------------------------------------------------------------------
-#: sweep-suite workloads and their default grid sizes (points per grid);
-#: the workload is the ``sweep-noop`` scenario — zero computation, so
-#: what gets timed is purely the machinery around scenario execution
-SWEEP_WORKLOADS: Sequence[tuple[str, int]] = (("noop", 64),)
-
-#: local worker daemons (threads) serving the timed fabric runs
-_SWEEP_WORKERS = 1
-
-
-@dataclass(frozen=True)
-class SweepBenchPoint:
-    """One timed scheduling-overhead configuration.
-
-    ``size`` is the number of no-op grid points; it is recorded as
-    ``cycles`` in the JSON so the baseline check's workload-length
-    comparability rule applies unchanged.
-    """
-
-    workload: str
-    size: int
-
-    @property
-    def key(self) -> str:
-        return f"sweep/{self.workload}@{self.size}"
-
-
-@dataclass
-class SweepBenchResult:
-    """Coordinator-vs-bare-engine throughput on a no-op grid.
-
-    ``speedup`` here is a *dispatch efficiency ratio* — fabric
-    points/sec over bare-engine points/sec on the identical grid.  It
-    is necessarily below 1.0 (the fabric adds lease files, heartbeats
-    and result publication around the same zero-cost execution); the
-    committed baseline gates how far below, i.e. how much scheduling
-    overhead the fabric is allowed to cost.
-    """
-
-    point: SweepBenchPoint
-    fabric_pps: float
-    fabric_wall_s: float
-    engine_pps: Optional[float]
-    engine_wall_s: Optional[float]
-    workers: int
-    stats_match: Optional[bool]
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.engine_pps or not self.fabric_pps:
-            return None
-        return self.fabric_pps / self.engine_pps
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "sweep",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "workers": self.workers,
-            "fabric_pps": round(self.fabric_pps, 1),
-            "fabric_wall_s": round(self.fabric_wall_s, 6),
-            "engine_pps": (
-                round(self.engine_pps, 1) if self.engine_pps else None
-            ),
-            "engine_wall_s": (
-                round(self.engine_wall_s, 6)
-                if self.engine_wall_s else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-        }
-
-
-def _sweep_requests(point: SweepBenchPoint):
-    from .runner import engine as engine_mod
-    from .runner import registry
-
-    if point.workload != "noop":
-        raise ValueError(f"unknown sweep workload {point.workload!r}")
-    registry.load_builtin()
-    return [
-        engine_mod.RunRequest.create("sweep-noop", {"point": i})
-        for i in range(point.size)
-    ]
-
-
-def _canonical_records(outcomes) -> List[str]:
-    from .store import codec
-
-    return [
-        json.dumps(
-            codec.strip_volatile(codec.outcome_to_record(outcome)),
-            sort_keys=True,
-        )
-        for outcome in outcomes
-    ]
-
-
-def _sweep_fabric_run(requests, workers: int = _SWEEP_WORKERS):
-    """One timed coordinator+workers pass over ``requests``.
-
-    Workers run as in-process threads (the workload is no-op, so the
-    run is dominated by exactly the file-lease traffic being priced);
-    the clock covers worker startup through the coordinator seeing the
-    last published result — everything a real fabric sweep pays.
-    """
+# -- sweep: fabric scheduling overhead vs the bare engine ---------------
+def _sweep_trial(points: int) -> Trial:
+    """``points`` no-op grid points through the fabric and the engine.
+    One fabric worker runs as an in-process thread; the clock covers its
+    start through the coordinator seeing the last published result."""
     import tempfile
     import threading
 
     from .fabric import FileTransport, run_fabric_sweep, run_worker
+    from .runner import engine, registry
+    from .store import codec
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as td:
-        transport = FileTransport(td)
-        threads = []
+    def canonical(outcomes) -> List[str]:
+        return [json.dumps(codec.strip_volatile(codec.outcome_to_record(o)),
+                           sort_keys=True) for o in outcomes]
+
+    registry.load_builtin()
+    requests = [engine.RunRequest.create("sweep-noop", {"point": i})
+                for i in range(points)]
+
+    def fabric():
+        with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as td:
+            transport = FileTransport(td)
+            worker = threading.Thread(daemon=True, target=partial(
+                run_worker, fabric=transport, worker_id="bench-w0",
+                lease_ttl=10.0, poll_s=0.01, plan_timeout=30.0))
+            yield
+            worker.start()
+            yield run_fabric_sweep(
+                transport, "sweep-noop", requests, workers=0,
+                lease_ttl=10.0, poll_s=0.002, timeout=300.0,
+            ).outcomes
+            worker.join(timeout=10.0)
+
+    def bare_engine():
+        yield
+        yield engine.execute(requests, jobs=1)
+
+    return Trial(
+        fabric, bare_engine,
+        check=lambda fab, eng: canonical(fab) == canonical(eng),
+        work=lambda _outcomes: points,
+        extra=lambda _outcomes: {"workers": 1},
+    )
+
+
+# -- the table -----------------------------------------------------------
+def _gate(name: str, size: int, workload) -> Workload:
+    return Workload("gate", name, size, "events/sec",
+                    ("optimized_eps", "reference_eps"),
+                    partial(_gate_trial, workload), min_size=4)
+
+
+_COMPILED = ("lane-steps/sec",
+             ("compiled_lps", None, "compiled_wall_s", "reference_wall_s"))
+
+#: every default bench point, in run order.  Floors: the fault batch
+#: must reach 4x the event kernel's aggregate lanes/sec, a single lane
+#: must not lose to it, the fabric must keep 0.2% of engine throughput
+WORKLOADS: Tuple[Workload, ...] = (
+    *(noc_workload(mesh, rate) for mesh, rate in NOC_POINTS),
+    _gate("serializer-i3", 24, partial(_gate_serializer, "I3")),
+    _gate("serializer-i2", 16, partial(_gate_serializer, "I2")),
+    _gate("fourphase-chain", 40, _gate_fourphase),
+    _gate("ringosc", 40_000, _gate_ringosc),
+    Workload("compiled", "fault-batch", 12, *_COMPILED,
+             _fault_batch_trial, floor=4.0, min_size=2),
+    Workload("compiled", "ringosc", 20_000, *_COMPILED,
+             _compiled_ringosc_trial, floor=1.0, min_size=2),
+    Workload("sweep", "noop", 64, "points/sec",
+             ("fabric_pps", "engine_pps", "fabric_wall_s", "engine_wall_s"),
+             _sweep_trial, floor=0.002, min_size=8),
+)
+
+
+def find(suite: str, name: str) -> Workload:
+    """The table row named ``name`` in ``suite``."""
+    for row in WORKLOADS:
+        if row.suite == suite and row.name == name:
+            return row
+    raise ValueError(f"unknown {suite} workload {name!r}")
+
+
+# -- the harness ---------------------------------------------------------
+def _once(setup: Setup, profiler: Optional[cProfile.Profile] = None
+          ) -> Tuple[float, Any]:
+    """Run one side once; return its timed wall seconds and artifact."""
+    steps = setup()
+    next(steps)
+    with profiler or contextlib.nullcontext():
         t0 = time.perf_counter()
-        for j in range(workers):
-            thread = threading.Thread(
-                target=run_worker,
-                kwargs=dict(
-                    fabric=transport,
-                    worker_id=f"bench-w{j}",
-                    lease_ttl=10.0,
-                    poll_s=0.01,
-                    plan_timeout=30.0,
-                ),
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        result = run_fabric_sweep(
-            transport, "sweep-noop", requests,
-            workers=0, lease_ttl=10.0, poll_s=0.002, timeout=300.0,
-        )
+        artifact = next(steps)
         wall = time.perf_counter() - t0
-        for thread in threads:
-            thread.join(timeout=10.0)
-    return wall, result.outcomes
+    next(steps, None)
+    return wall, artifact
 
 
-def run_sweep_point(
-    point: SweepBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-    workers: int = _SWEEP_WORKERS,
-) -> SweepBenchResult:
-    """Time one no-op grid through the fabric and (optionally) the
-    bare engine; cross-check that both produced identical canonical
-    outcome records."""
-    from .runner import engine as engine_mod
-
-    requests = _sweep_requests(point)
-    fab_wall = float("inf")
-    fab_outcomes = None
-    for _ in range(repeats):
-        wall, outcomes = _sweep_fabric_run(requests, workers=workers)
-        if wall < fab_wall:
-            fab_wall = wall
-            fab_outcomes = outcomes
-    eng_wall = None
-    eng_pps = None
-    stats_match = None
-    if reference:
-        eng_wall = float("inf")
-        eng_outcomes = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outcomes = engine_mod.execute(requests, jobs=1)
-            elapsed = time.perf_counter() - t0
-            if elapsed < eng_wall:
-                eng_wall = elapsed
-                eng_outcomes = outcomes
-        eng_pps = point.size / eng_wall if eng_wall else 0.0
-        stats_match = (
-            _canonical_records(fab_outcomes)
-            == _canonical_records(eng_outcomes)
-        )
-    return SweepBenchResult(
-        point=point,
-        fabric_pps=point.size / fab_wall if fab_wall else 0.0,
-        fabric_wall_s=fab_wall,
-        engine_pps=eng_pps,
-        engine_wall_s=eng_wall,
-        workers=workers,
-        stats_match=stats_match,
-    )
+def _best_of(setup: Setup, repeats: int) -> Tuple[float, Any]:
+    return min((_once(setup) for _ in range(repeats)), key=lambda r: r[0])
 
 
-def default_sweep_points(scale: float = 1.0) -> List[SweepBenchPoint]:
-    """The standard sweep-suite points, grid sizes scaled by ``scale``."""
-    return [
-        SweepBenchPoint(workload, max(8, round(size * scale)))
-        for workload, size in SWEEP_WORKLOADS
-    ]
-
-
-def _counter_deltas(run_fn) -> Dict[str, int]:
-    """Kernel counter deltas from one extra *untimed* instrumented run.
-
-    The timed repeats execute with metrics in whatever state the
-    process default left them (disabled, normally — the overhead bench
-    holds the disabled path to a single attribute check); the counters
-    recorded next to a timing point come from this separate replay so
-    instrumentation can never contaminate the timings it annotates.
-    """
+def _counter_deltas(trial: Trial) -> Dict[str, int]:
+    """Counter deltas of one extra, *untimed*, instrumented optimized run."""
     with obs_metrics.collecting(reset=True) as reg:
-        run_fn()
+        for _step in trial.optimized():
+            pass
         snapshot = reg.snapshot()
-    return {
-        key.split(":", 1)[1]: value
-        for key, value in snapshot.items()
-        if key.startswith("counter:")
+    return {key.split(":", 1)[1]: value for key, value in snapshot.items()
+            if key.startswith("counter:")}
+
+
+def _measure(row: Workload, size: int, reference: bool,
+             repeats: int) -> Tuple[float, Dict[str, object]]:
+    """Time one point; return its optimized wall and its record."""
+    trial = row.build(size)
+    opt_wall, opt = _best_of(trial.optimized, repeats)
+    ref_wall = ref = speedup = stats_match = None
+    if reference:
+        ref_wall, ref = _best_of(trial.reference, repeats)
+        stats_match = trial.check(opt, ref)
+        if opt_wall and ref_wall:
+            speedup = round(trial.lanes * ref_wall / opt_wall, 3)
+    record: Dict[str, object] = {
+        "suite": row.suite, "key": row.key(size), "cycles": size,
     }
+    if row.suite != "noc":
+        record["workload"] = row.name
+    values = (trial.work(opt) / opt_wall if opt_wall else 0.0,
+              trial.work(ref) / ref_wall if ref_wall else None,
+              opt_wall, ref_wall)
+    for name, value, digits in zip(row.fields, values, (1, 1, 6, 6)):
+        if name is not None:
+            record[name] = None if value is None else round(value, digits)
+    record.update(trial.extra(opt), speedup=speedup, stats_match=stats_match)
+    return opt_wall, record
 
 
-def _noc_point_metrics(point: BenchPoint) -> Dict[str, int]:
-    network, traffic = _build(point, Network)
-    return _counter_deltas(lambda: network.run(point.cycles, traffic))
-
-
-def _gate_point_metrics(point: GateBenchPoint) -> Dict[str, int]:
-    import repro.sim as optimized_stack
-
-    _sim, run, _fp = _build_gate_workload(optimized_stack, point)
-    return _counter_deltas(run)
-
-
-def _compiled_point_metrics(point: CompiledBenchPoint) -> Dict[str, int]:
-    _lanes, _steps, run_compiled, _ref, _check = (
-        _build_compiled_workload(point)
-    )
-    return _counter_deltas(run_compiled)
-
-
-def _sweep_point_metrics(point: SweepBenchPoint) -> Dict[str, int]:
-    requests = _sweep_requests(point)
-    return _counter_deltas(lambda: _sweep_fabric_run(requests))
-
-
-def run_bench(
-    points: Sequence[BenchPoint] = (),
-    reference: bool = True,
-    repeats: int = 3,
-    progress=None,
-    gate_points: Sequence[GateBenchPoint] = (),
-    compiled_points: Sequence[CompiledBenchPoint] = (),
-    sweep_points: Sequence[SweepBenchPoint] = (),
-    collect_metrics: bool = True,
-) -> Dict[str, object]:
-    """Run every noc, gate, compiled and sweep point; return the JSON
-    document.
-
-    With ``collect_metrics`` each point's record gains a ``metrics``
-    key — kernel counter deltas (events executed, cycles simulated,
-    settle rounds, ...) from an untimed replay — additive to the
-    schema, ignored by the baseline check.
-    """
-    results = []
-    suites = []
-    if points:
-        suites.append("noc")
-    if gate_points:
-        suites.append("gate")
-    if compiled_points:
-        suites.append("compiled")
-    if sweep_points:
-        suites.append("sweep")
-    for point in points:
-        outcome = run_point(point, reference=reference, repeats=repeats)
-        if progress is not None:
-            progress(outcome)
-        record = outcome.to_json()
+def run_bench(points: Sequence[Tuple[Workload, int]], reference: bool = True,
+              repeats: int = 3,
+              progress: Callable[[str], None] = lambda _line: None,
+              collect_metrics: bool = True,
+              profile_slowest: bool = False) -> Dict[str, object]:
+    """Time every ``(row, size)`` point; return the bench document.
+    ``progress`` gets a line per point, and with ``profile_slowest`` a
+    cProfile of each suite's slowest optimized run; ``collect_metrics``
+    adds counter deltas as each record's ``metrics``."""
+    records = []
+    slowest: Dict[str, Tuple[float, Workload, int]] = {}
+    for row, size in points:
+        opt_wall, record = _measure(row, size, reference, repeats)
+        speedup = record["speedup"]
+        speed = (f"{speedup:.3g}x vs reference" if speedup is not None
+                 else "reference skipped")
+        match = {True: ", stats identical",
+                 False: ", STATS DIVERGED"}.get(record["stats_match"], "")
+        progress(f"{record['key']}: {record[row.fields[0]]:,.0f} "
+                 f"{row.unit} ({speed}{match})")
         if collect_metrics:
-            record["metrics"] = _noc_point_metrics(point)
-        results.append(record)
-    for gate_point in gate_points:
-        gate_outcome = run_gate_point(
-            gate_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(gate_outcome)
-        record = gate_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _gate_point_metrics(gate_point)
-        results.append(record)
-    for compiled_point in compiled_points:
-        compiled_outcome = run_compiled_point(
-            compiled_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(compiled_outcome)
-        record = compiled_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _compiled_point_metrics(compiled_point)
-        results.append(record)
-    for sweep_point in sweep_points:
-        sweep_outcome = run_sweep_point(
-            sweep_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(sweep_outcome)
-        record = sweep_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _sweep_point_metrics(sweep_point)
-        results.append(record)
+            record["metrics"] = _counter_deltas(row.build(size))
+        records.append(record)
+        if opt_wall > slowest.get(row.suite, (-1.0,))[0]:
+            slowest[row.suite] = (opt_wall, row, size)
+    for _wall, row, size in slowest.values() if profile_slowest else ():
+        profiler = cProfile.Profile()
+        _once(row.build(size).optimized, profiler)
+        table = io.StringIO()
+        pstats.Stats(profiler, stream=table).sort_stats(
+            "cumulative").print_stats(15)
+        progress(f"\ncProfile of the optimized kernel ({row.key(size)}):\n"
+                 f"{table.getvalue()}")
     return {
         "schema": SCHEMA,
         "python": sys.version.split()[0],
         "repeats": repeats,
-        "suites": suites,
-        "points": results,
+        "suites": list(slowest),
+        "points": records,
     }
 
 
-def _major_minor(version: Optional[str]) -> Optional[str]:
-    if not version:
-        return None
-    return ".".join(str(version).split(".")[:2])
-
-
-def check_against_baseline(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = 0.30,
-) -> List[str]:
-    """Problems found comparing ``current`` to a committed baseline.
-
-    A point regresses when its optimized-vs-reference speedup falls
-    more than ``tolerance`` (relative) below the baseline's — the
-    machine-independent formulation of "cycles/sec regressed".  Points
-    present in the baseline but missing from the current run, mismatched
-    stats, missing speedups, and workload-length mismatches (a speedup
-    measured over a different cycle count is not comparable) all count
-    as problems, as does an interpreter mismatch: the two kernels
-    stress CPython differently (dict/attribute-heavy vs scan-heavy),
-    so the ratio is only stable within one major.minor version — the
-    CI bench job pins the Python the committed baseline was recorded
-    on.
-
-    Baseline points whose suite was not benchmarked by ``current`` are
-    skipped: ``repro bench --suite gate`` gates only the gate points of
-    a combined baseline (schema-1 baselines without suite tags count as
-    noc points).
-    """
+def check_floors(points: Sequence[Tuple[Workload, int]],
+                 document: Dict[str, object]) -> List[str]:
+    """Points whose speedup is missing or below their row's floor."""
+    floors = {row.key(size): row.floor for row, size in points
+              if row.floor is not None}
     problems: List[str] = []
-    current_suites = set(current.get("suites") or [])
-    if not current_suites:
-        # pre-suite document: infer from the recorded points
-        current_suites = {
-            p.get("suite", "noc") for p in current.get("points", [])
-        }
-    base_python = _major_minor(baseline.get("python"))
-    cur_python = _major_minor(current.get("python"))
+    for record in document["points"]:
+        floor, speedup = floors.get(record["key"]), record.get("speedup")
+        if floor is None:
+            continue
+        if speedup is None:
+            problems.append(f"{record['key']}: no speedup recorded "
+                            f"(ran with --no-reference?)")
+        elif speedup < floor:
+            problems.append(f"{record['key']}: speedup {speedup:.3g}x "
+                            f"below its {floor:g}x floor")
+    return problems
+
+
+def check_against_baseline(current: Dict[str, object],
+                           baseline: Dict[str, object],
+                           tolerance: float = 0.30) -> List[str]:
+    """Problems comparing ``current`` to a committed baseline: speedups
+    more than ``tolerance`` (relative) below the baseline's, missing
+    points or speedups, diverged stats, size mismatches, and another
+    CPython major.minor (ratios are only stable within one).  Suites
+    ``current`` did not run are skipped; suite-less points are noc."""
+    problems: List[str] = []
+    # a pre-suite document: infer its suites from the recorded points
+    current_suites = set(current.get("suites") or (
+        p.get("suite", "noc") for p in current.get("points", [])))
+    cur_python, base_python = (
+        ".".join(str(doc.get("python") or "").split(".")[:2])
+        for doc in (current, baseline))
     if base_python and cur_python and base_python != cur_python:
         problems.append(
-            f"interpreter mismatch: bench ran on Python {cur_python} "
-            f"but the baseline was recorded on {base_python} — kernel "
-            f"speedup ratios are only comparable on the same "
-            f"interpreter; regenerate the baseline"
-        )
+            f"interpreter mismatch: bench ran on Python {cur_python} but "
+            f"the baseline was recorded on {base_python} — kernel speedup "
+            f"ratios are only comparable on the same interpreter; "
+            f"regenerate the baseline")
     current_by_key = {p["key"]: p for p in current.get("points", [])}
     for base_point in baseline.get("points", []):
-        key = base_point["key"]
-        if base_point.get("suite", "noc") not in current_suites:
-            continue
-        base_speedup = base_point.get("speedup")
-        if base_speedup is None:
+        key, base_speedup = base_point["key"], base_point.get("speedup")
+        suite = base_point.get("suite", "noc")
+        if suite not in current_suites or base_speedup is None:
             continue
         point = current_by_key.get(key)
         if point is None:
             problems.append(f"{key}: missing from current bench run")
             continue
-        base_cycles = base_point.get("cycles")
-        cycles = point.get("cycles")
-        if (base_cycles is not None and cycles is not None
-                and base_cycles != cycles):
-            # gate-suite workload sizes are set by --gate-scale, noc
-            # cycle counts by --cycles — point the user at the right knob
-            if base_point.get("suite") == "gate":
-                flag, unit = "--gate-scale", "workload units"
-            elif base_point.get("suite") == "compiled":
-                flag, unit = "--compiled-scale", "workload units"
-            elif base_point.get("suite") == "sweep":
-                flag, unit = "--sweep-scale", "grid points"
-            else:
-                flag, unit = "--cycles", "cycles"
+        base_cycles, cycles = base_point.get("cycles"), point.get("cycles")
+        if None not in (base_cycles, cycles) and base_cycles != cycles:
+            # noc points are sized by --cycles, the other suites by
+            # --scale: point the user at the right knob
+            flag = "--cycles" if suite == "noc" else "--scale"
+            unit = {"noc": "cycles", "sweep": "grid points"}.get(
+                suite, "workload units")
             problems.append(
                 f"{key}: measured over {cycles} {unit} but the baseline "
-                f"used {base_cycles} — rerun with matching {flag} "
-                f"(the committed baseline uses --fast) or regenerate "
-                f"the baseline"
-            )
+                f"used {base_cycles} — rerun with matching {flag} (the "
+                f"committed baseline uses --fast) or regenerate it")
             continue
         if point.get("stats_match") is False:
             problems.append(
-                f"{key}: optimized kernel diverged from reference stats"
-            )
+                f"{key}: optimized kernel diverged from reference stats")
         speedup = point.get("speedup")
         if speedup is None:
             problems.append(f"{key}: no speedup recorded (ran without "
@@ -1148,44 +574,27 @@ def check_against_baseline(
         floor = base_speedup * (1.0 - tolerance)
         if speedup < floor:
             problems.append(
-                f"{key}: speedup {speedup:.2f}x fell below "
-                f"{floor:.2f}x (baseline {base_speedup:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
+                f"{key}: speedup {speedup:.2f}x fell below {floor:.2f}x "
+                f"(baseline {base_speedup:.2f}x - {tolerance:.0%} tolerance)")
     return problems
 
 
-def default_points(cycles: int) -> List[BenchPoint]:
-    return [
-        BenchPoint(mesh_size=mesh, injection_rate=rate, cycles=cycles)
-        for mesh, rate in DEFAULT_POINTS
-    ]
-
-
 def load_baseline(path: str) -> Dict[str, object]:
-    """Read a committed bench document; any schema up to ours loads.
-
-    Older documents (schema 1: no suites, schema 2: no compiled points)
-    stay readable — :func:`check_against_baseline` treats missing
-    fields as "point not benchmarked".  A *newer* schema is refused:
-    silently gating against fields this code does not understand would
-    make the check vacuous.
-    """
+    """Read a committed bench document of any schema up to ours (a
+    newer one is refused: gating fields this code does not understand
+    would make the check vacuous)."""
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     schema = document.get("schema")
     if isinstance(schema, int) and schema > SCHEMA:
         raise ValueError(
             f"baseline {path} has schema {schema}, newer than the "
             f"supported schema {SCHEMA}; update the code or regenerate "
-            f"the baseline"
-        )
+            f"the baseline")
     return document
 
 
 def write_json(document: Dict[str, object], path: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")

@@ -18,8 +18,8 @@ The fabric's control plane is four tiny record kinds:
 
 :class:`Transport` is the abstract surface; :class:`FileTransport`
 implements it over a shared directory with the repo's usual atomicity
-discipline (exclusive create for claims, write-temp-then-rename for
-everything else), so the fabric works across processes — and across
+discipline (write-temp-then-link for claims, write-temp-then-rename
+for everything else), so the fabric works across processes — and across
 machines sharing a mount — with no daemon in the middle.  A socket
 transport can slot in behind the same surface later.
 
@@ -254,7 +254,9 @@ class FileTransport(Transport):
         return sorted(workers.glob("*/telemetry.jsonl"))
 
     # ------------------------------------------------------------------
-    def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
+    @staticmethod
+    def _write_tmp(path: Path, payload: Dict[str, object]) -> Path:
+        """Write ``payload`` to a private sibling of ``path``."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
@@ -262,7 +264,10 @@ class FileTransport(Transport):
         tmp.write_text(
             json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
         )
-        os.replace(tmp, path)
+        return tmp
+
+    def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
+        os.replace(self._write_tmp(path, payload), path)
 
     @staticmethod
     def _read_json(path: Path) -> Optional[Dict[str, object]]:
@@ -293,9 +298,13 @@ class FileTransport(Transport):
         path = self._lease_path(item)
         record = LeaseRecord(item=item, owner=owner,
                              deadline=now + ttl, attempt=1)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        # write the record first, then hard-link it into place: the link
+        # fails when the lease is held, and a lease is never visible
+        # without its content — an empty, half-written lease would read
+        # as debris and be taken over by a second claimant
+        tmp = self._write_tmp(path, record.to_json())
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, path)
         except FileExistsError:
             existing = self.lease(item)
             if existing is not None and not existing.expired(now):
@@ -314,8 +323,8 @@ class FileTransport(Transport):
                     and current.deadline == record.deadline):
                 return record
             return None
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+        finally:
+            tmp.unlink(missing_ok=True)
         return record
 
     def renew(self, item: str, owner: str, ttl: float) -> bool:

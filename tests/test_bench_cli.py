@@ -1,54 +1,77 @@
 """Tests for the ``repro bench`` subcommand and the bench harness."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro import bench
 from repro.__main__ import main
 from repro.bench import (
-    BenchPoint,
+    WORKLOADS,
     check_against_baseline,
-    default_points,
-    profile_point,
-    run_point,
+    find,
+    noc_workload,
+    run_bench,
 )
 
 #: tiny workload: 2x2 mesh, 60 cycles — milliseconds per kernel
 TINY = ["--mesh", "2", "--rates", "0.1", "--cycles", "60", "--repeats", "1"]
 
+BASELINE = (Path(__file__).resolve().parent.parent
+            / "benchmarks" / "baseline_bench.json")
+
+
+def run_one(row, size, **kwargs):
+    """The record of one point, timed once, without the metrics replay."""
+    kwargs.setdefault("repeats", 1)
+    document = run_bench([(row, size)], collect_metrics=False, **kwargs)
+    (record,) = document["points"]
+    return record
+
+
+def profile_text(row, size):
+    lines = []
+    run_bench([(row, size)], reference=False, repeats=1,
+              collect_metrics=False, progress=lines.append,
+              profile_slowest=True)
+    return lines[-1]
+
+
+def default_keys(suite, scale=1.0, cycles=1500):
+    return [row.key(cycles if suite == "noc" else row.scaled(scale))
+            for row in WORKLOADS if row.suite == suite]
+
 
 class TestBenchHarness:
     def test_run_point_reports_speedup_and_matching_stats(self):
-        point = BenchPoint(mesh_size=2, injection_rate=0.1, cycles=60)
-        outcome = run_point(point, reference=True, repeats=1)
-        assert outcome.optimized_cps > 0
-        assert outcome.reference_cps > 0
-        assert outcome.speedup == pytest.approx(
-            outcome.optimized_cps / outcome.reference_cps
+        record = run_one(noc_workload(2, 0.1), 60)
+        assert record["optimized_cps"] > 0
+        assert record["reference_cps"] > 0
+        assert record["speedup"] == pytest.approx(
+            record["optimized_cps"] / record["reference_cps"], rel=1e-2
         )
-        assert outcome.stats_match is True
-        assert outcome.flits_ejected > 0
+        assert record["stats_match"] is True
+        assert record["flits_ejected"] > 0
 
     def test_reference_skippable(self):
-        point = BenchPoint(mesh_size=2, injection_rate=0.1, cycles=60)
-        outcome = run_point(point, reference=False, repeats=1)
-        assert outcome.reference_cps is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
+        record = run_one(noc_workload(2, 0.1), 60, reference=False)
+        assert record["reference_cps"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
 
     def test_default_points_cover_the_acceptance_gates(self):
-        keys = [p.key for p in default_points(cycles=300)]
+        keys = default_keys("noc", cycles=300)
         assert "8x8@0.02/uniform/xy/vc1/I3" in keys
         assert "8x8@0.35/uniform/xy/vc1/I3" in keys
 
     def test_point_key_stable(self):
-        point = BenchPoint(mesh_size=4, injection_rate=0.1)
-        assert point.key == "4x4@0.1/uniform/xy/vc1/I3"
+        assert noc_workload(4, 0.1).key(1500) == "4x4@0.1/uniform/xy/vc1/I3"
 
     def test_profile_point_names_the_kernel(self):
-        text = profile_point(
-            BenchPoint(mesh_size=2, injection_rate=0.1, cycles=40)
-        )
+        text = profile_text(noc_workload(2, 0.1), 40)
+        assert "cProfile of the optimized kernel (2x2@0.1/" in text
         assert "step" in text
         assert "function calls" in text
 
@@ -154,14 +177,17 @@ class TestBenchCli:
         assert "cProfile" in capsys.readouterr().out
 
     def test_bench_profile_picks_most_loaded_point(self, capsys):
+        """--profile reruns the suite's slowest optimized point: the
+        largest mesh at the highest injection rate here."""
         rc = main([
-            "bench", "--mesh", "2,3", "--rates", "0.05,0.2",
-            "--cycles", "40", "--repeats", "1", "--no-reference",
+            "bench", "--mesh", "2,6", "--rates", "0.02,0.3",
+            "--cycles", "60", "--repeats", "1", "--no-reference",
             "--profile",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cProfile of the optimized kernel (3x3@0.2/" in out
+        assert "cProfile of the optimized kernel (6x6@0.3/" in out
+        assert out.count("cProfile of the optimized kernel") == 1
 
     def test_bench_fast_caps_cycles(self, tmp_path):
         out = tmp_path / "bench.json"
@@ -216,88 +242,75 @@ class TestBenchCli:
 
     def test_committed_baseline_matches_default_points(self):
         """The checked-in baseline must gate the default bench points
-        (guards against the baseline going stale when points change)."""
-        from pathlib import Path
-
-        baseline_path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "baseline_bench.json"
-        )
-        baseline = json.loads(baseline_path.read_text())
-        noc_keys = {p["key"] for p in baseline["points"]
-                    if p.get("suite", "noc") == "noc"}
-        assert noc_keys == {p.key for p in default_points(cycles=300)}
-        from repro.bench import default_gate_points
-
-        gate_keys = {p["key"] for p in baseline["points"]
-                     if p.get("suite") == "gate"}
-        assert gate_keys == {
-            p.key for p in default_gate_points(scale=0.5)
-        }
+        at --fast sizes (guards against the baseline going stale when
+        the table changes)."""
+        baseline = json.loads(BASELINE.read_text())
+        for suite in ("noc", "gate", "compiled", "sweep"):
+            keys = {p["key"] for p in baseline["points"]
+                    if p.get("suite", "noc") == suite}
+            assert keys == set(default_keys(suite, scale=0.5, cycles=300))
         assert all(p["speedup"] is not None for p in baseline["points"])
+
+    def test_records_carry_every_baseline_field(self):
+        """Each suite's records still carry every field its committed
+        baseline points have, so the schema-4 file reads as-is."""
+        baseline = json.loads(BASELINE.read_text())
+        points = [(noc_workload(2, 0.1), 40),
+                  (find("gate", "serializer-i3"), 4),
+                  (find("compiled", "ringosc"), 64),
+                  (find("sweep", "noop"), 8)]
+        document = run_bench(points, reference=False, repeats=1)
+        assert document["schema"] == baseline["schema"] == 4
+        emitted = {r["suite"]: set(r) for r in document["points"]}
+        assert set(emitted) == {"noc", "gate", "compiled", "sweep"}
+        for point in baseline["points"]:
+            missing = set(point) - emitted[point["suite"]]
+            assert not missing, (point["key"], missing)
 
 
 class TestGateSuiteHarness:
     def test_run_gate_point_cross_checks_kernels(self):
-        from repro.bench import GateBenchPoint, run_gate_point
-
-        point = GateBenchPoint("serializer-i3", 4)
-        outcome = run_gate_point(point, reference=True, repeats=1)
-        assert outcome.optimized_eps > 0
-        assert outcome.reference_eps > 0
-        assert outcome.stats_match is True
-        assert outcome.speedup == pytest.approx(
-            outcome.reference_wall_s / outcome.optimized_wall_s
-        )
-        assert outcome.events_executed > 0
-        assert outcome.events_cancelled > 0  # inertial supersedes happen
+        record = run_one(find("gate", "serializer-i3"), 4)
+        assert record["optimized_eps"] > 0
+        assert record["reference_eps"] > 0
+        assert record["stats_match"] is True
+        assert record["speedup"] > 0
+        assert record["events_executed"] > 0
+        assert record["events_cancelled"] > 0  # inertial supersedes happen
 
     @pytest.mark.parametrize(
         "workload", ["serializer-i2", "fourphase-chain", "ringosc"]
     )
     def test_other_workloads_match_reference(self, workload):
-        from repro.bench import GateBenchPoint, run_gate_point
-
         size = 2000 if workload == "ringosc" else 4
-        outcome = run_gate_point(
-            GateBenchPoint(workload, size), reference=True, repeats=1
-        )
-        assert outcome.stats_match is True
+        record = run_one(find("gate", workload), size)
+        assert record["stats_match"] is True
 
     def test_gate_point_key_stable(self):
-        from repro.bench import GateBenchPoint
-
-        assert GateBenchPoint("serializer-i3", 24).key == \
+        assert find("gate", "serializer-i3").key(24) == \
             "gate/serializer-i3@24"
 
     def test_default_gate_points_cover_the_acceptance_gate(self):
-        from repro.bench import default_gate_points
-
-        points = default_gate_points()
-        assert points[0].workload == "serializer-i3"
-        assert {p.workload for p in points} == {
+        rows = [row for row in WORKLOADS if row.suite == "gate"]
+        assert rows[0].name == "serializer-i3"
+        assert {row.name for row in rows} == {
             "serializer-i3", "serializer-i2", "fourphase-chain", "ringosc",
         }
         # --fast halves the workloads but never below the floor
-        fast = default_gate_points(scale=0.01)
-        assert all(p.size >= 4 for p in fast)
+        assert all(row.scaled(0.01) >= 4 for row in rows)
 
     def test_unknown_workload_rejected(self):
-        from repro.bench import GateBenchPoint, run_gate_point
-
         with pytest.raises(ValueError, match="unknown gate workload"):
-            run_gate_point(GateBenchPoint("warp-drive", 4), repeats=1)
+            find("gate", "warp-drive")
 
     def test_profile_gate_point_names_the_kernel(self):
-        from repro.bench import GateBenchPoint, profile_gate_point
-
-        text = profile_gate_point(GateBenchPoint("serializer-i3", 4))
+        text = profile_text(find("gate", "serializer-i3"), 4)
         assert "run" in text
         assert "function calls" in text
 
 
 class TestGateSuiteCli:
-    GATE_TINY = ["--suite", "gate", "--gate-scale", "0.01", "--repeats", "1"]
+    GATE_TINY = ["--suite", "gate", "--scale", "0.01", "--repeats", "1"]
 
     def test_gate_suite_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -355,9 +368,7 @@ class TestGateSuiteCli:
         out = tmp_path / "bench.json"
         rc = main([
             "bench", "--suite", "all", "--mesh", "2", "--rates", "0.1",
-            "--cycles", "40", "--gate-scale", "0.01",
-            "--compiled-scale", "0.01", "--sweep-scale", "0.01",
-            "--repeats", "1", "--no-reference", "--json", str(out),
+            "--cycles", "40", "--scale", "0.01", "--repeats", "1", "--no-reference", "--json", str(out),
         ])
         assert rc == 0
         document = json.loads(out.read_text())
@@ -371,7 +382,8 @@ class TestGateSuiteCli:
     def test_gate_profile_smoke(self, capsys):
         rc = main(["bench", *self.GATE_TINY, "--no-reference", "--profile"])
         assert rc == 0
-        assert "cProfile of the optimized sim kernel" in capsys.readouterr().out
+        assert "cProfile of the optimized kernel (gate/" in \
+            capsys.readouterr().out
 
     def test_mesh_flags_rejected_for_gate_suite(self):
         with pytest.raises(SystemExit):
@@ -379,16 +391,11 @@ class TestGateSuiteCli:
 
     def test_bad_gate_scale_rejected(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "gate", "--gate-scale", "0"])
+            main(["bench", "--suite", "gate", "--scale", "0"])
 
     def test_committed_baseline_is_schema_4_with_every_suite(self):
         """The committed baseline must gate every suite's speedups."""
-        from pathlib import Path
-
-        baseline = json.loads(
-            (Path(__file__).resolve().parent.parent
-             / "benchmarks" / "baseline_bench.json").read_text()
-        )
+        baseline = json.loads(BASELINE.read_text())
         assert baseline["schema"] == 4
         assert set(baseline["suites"]) == {
             "noc", "gate", "compiled", "sweep",
@@ -422,18 +429,32 @@ class TestGateSuiteCli:
 
     def test_gate_scale_rejected_for_noc_suite(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "noc", "--gate-scale", "2.0"])
+            main(["bench", "--suite", "noc", "--scale", "2.0"])
 
 
 class TestCompiledSuiteCli:
     COMPILED_TINY = [
-        "--suite", "compiled", "--compiled-scale", "0.005",
-        "--repeats", "1",
+        "--suite", "compiled", "--scale", "0.005", "--repeats", "1",
     ]
-    # the gate tests need the single-lane ringosc point to clear its
-    # implicit 1.0x floor, which is timing noise at 100 toggles with a
-    # single repeat — best-of-3 keeps them deterministic under load
+    # the floor tests need the single-lane ringosc point to clear its
+    # 1.0x floor, which is timing noise at 100 toggles with a single
+    # repeat — best-of-3 keeps them deterministic under load
     COMPILED_TINY_GATED = COMPILED_TINY[:-1] + ["3"]
+
+    @pytest.fixture
+    def no_baseline(self, tmp_path):
+        """An empty baseline: ``--check`` then enforces only the floors."""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"schema": 4, "points": []}))
+        return str(path)
+
+    @staticmethod
+    def _set_floor(monkeypatch, suite, name, floor):
+        monkeypatch.setattr(bench, "WORKLOADS", tuple(
+            replace(row, floor=floor)
+            if (row.suite, row.name) == (suite, name) else row
+            for row in bench.WORKLOADS
+        ))
 
     def test_compiled_suite_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -446,37 +467,49 @@ class TestCompiledSuiteCli:
         assert all(p["stats_match"] for p in points.values())
         assert "lane-steps/sec" in capsys.readouterr().out
 
-    def test_min_compiled_speedup_gate_passes(self, capsys):
-        rc = main(["bench", *self.COMPILED_TINY_GATED,
-                   "--min-compiled-speedup", "0.001"])
-        assert rc == 0
-        assert "clear the 0.001x batch floor" in capsys.readouterr().out
+    def test_rows_carry_the_gated_floors(self):
+        assert find("compiled", "fault-batch").floor == 4.0
+        assert find("compiled", "ringosc").floor == 1.0
+        assert find("sweep", "noop").floor == 0.002
+        assert all(row.floor is None for row in WORKLOADS
+                   if row.suite in ("noc", "gate"))
 
-    def test_min_compiled_speedup_gate_fails(self, capsys):
+    def test_min_compiled_speedup_gate_passes(self, monkeypatch, capsys,
+                                              no_baseline):
+        self._set_floor(monkeypatch, "compiled", "fault-batch", 0.001)
         rc = main(["bench", *self.COMPILED_TINY_GATED,
-                   "--min-compiled-speedup", "1000000"])
+                   "--check", no_baseline])
+        assert rc == 0
+        assert "above every row's floor" in capsys.readouterr().out
+
+    def test_min_compiled_speedup_gate_fails(self, monkeypatch, capsys,
+                                             no_baseline):
+        self._set_floor(monkeypatch, "compiled", "fault-batch", 1_000_000)
+        rc = main(["bench", *self.COMPILED_TINY_GATED,
+                   "--check", no_baseline])
         assert rc == 1
         err = capsys.readouterr().err
         assert "bench regression" in err
         assert "fault-batch" in err
-        # the single-lane ringosc point is held to 1x, not the floor
+        # the single-lane ringosc point keeps its own 1x floor
         assert "ringosc" not in err
 
-    def test_min_compiled_speedup_needs_a_reference(self, capsys):
+    def test_min_compiled_speedup_needs_a_reference(self, capsys,
+                                                    no_baseline):
         rc = main(["bench", *self.COMPILED_TINY, "--no-reference",
-                   "--min-compiled-speedup", "4"])
+                   "--check", no_baseline])
         assert rc == 1
         assert "no speedup recorded" in capsys.readouterr().err
 
     def test_compiled_flags_rejected_for_other_suites(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "noc", "--compiled-scale", "0.5"])
+            main(["bench", "--suite", "noc", "--scale", "0.5"])
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "gate",
-                  "--min-compiled-speedup", "4"])
+            main(["bench", "--suite", "compiled", "--scale", "0"])
+        # the per-suite floors are table constants now, not options
         with pytest.raises(SystemExit):
             main(["bench", "--suite", "compiled",
-                  "--compiled-scale", "0"])
+                  "--min-compiled-speedup", "4"])
 
     def test_mesh_flags_rejected_for_compiled_suite(self):
         with pytest.raises(SystemExit):

@@ -176,6 +176,38 @@ class TestLeaseProtocol:
         assert taken.attempt == 2
         assert transport.lease("item-000000").owner == "wk-b"
 
+    def test_concurrent_claims_have_one_winner(self, tmp_path):
+        """Two claimants racing on fresh items: exactly one wins each.
+
+        A lease that becomes visible before its record is written reads
+        as debris, and the loser of the race would take it over.
+        """
+        transport = FileTransport(tmp_path)
+        items = [item_id(i) for i in range(400)]
+        barrier = threading.Barrier(2)
+        wins = {"wk-a": [], "wk-b": []}
+
+        def claim_all(owner):
+            barrier.wait()
+            for item in items:
+                if transport.try_claim(item, owner, ttl=30.0) is not None:
+                    wins[owner].append(item)
+
+        threads = [threading.Thread(target=claim_all, args=(owner,))
+                   for owner in wins]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the claimants finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(wins["wk-a"]).isdisjoint(wins["wk-b"])
+        assert len(wins["wk-a"]) + len(wins["wk-b"]) == len(items)
+
     def test_live_lease_not_taken_over(self, tmp_path):
         transport = FileTransport(tmp_path)
         transport.try_claim("item-000000", "wk-a", ttl=30.0)

@@ -169,14 +169,11 @@ class TestKernelsNoOpWhenDisabled:
         assert metrics.REGISTRY.is_empty()
 
     def test_noc_kernel(self):
-        from repro import bench as bench_mod
-        from repro.noc import Network
+        from repro.bench import noc_workload
 
-        point = bench_mod.BenchPoint(
-            mesh_size=2, injection_rate=0.2, cycles=40
-        )
-        network, traffic = bench_mod._build(point, Network)
-        network.run(point.cycles, traffic)
+        # set-up, timed run and teardown of the bench's optimized side
+        for _step in noc_workload(2, 0.2).build(40).optimized():
+            pass
         assert metrics.REGISTRY.is_empty()
 
     def test_compiled_backend(self):
@@ -217,15 +214,11 @@ class TestKernelsCountWhenEnabled:
         assert counters["sim.events_scheduled"] >= 299
 
     def test_noc_kernel_counters(self):
-        from repro import bench as bench_mod
-        from repro.noc import Network
+        from repro.bench import noc_workload
 
-        point = bench_mod.BenchPoint(
-            mesh_size=2, injection_rate=0.2, cycles=60
-        )
         with metrics.collecting(reset=True) as reg:
-            network, traffic = bench_mod._build(point, Network)
-            network.run(point.cycles, traffic)
+            for _step in noc_workload(2, 0.2).build(60).optimized():
+                pass
             counters = reg.counters()
         assert counters["noc.cycles"] == 60
         assert counters["noc.flits_routed"] > 0
