@@ -52,6 +52,9 @@ kernels, the event kernel, the bare engine) and emits a JSON record;
 ``--check`` gates the speedup ratios against a committed baseline and
 each workload's floor (see :mod:`repro.bench` and the README
 "Performance" section).
+
+This module only parses arguments, calls the library and prints; each
+subcommand binds its ``handler`` with ``set_defaults``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .analysis.report import format_table
 from .obs import analyze as obs_analyze
@@ -73,23 +76,55 @@ from .store import diff as store_diff
 from .store import journal as store_journal
 
 
-def _paper_ids() -> List[str]:
-    registry.load_builtin()
-    return [sc.id for sc in registry.find(tags=("paper",))]
+# ----------------------------------------------------------------------
+# argument helpers
+# ----------------------------------------------------------------------
+def _checked(kind, ok, rule: str):
+    """argparse ``type=``: ``kind(raw)``, a usage error unless ``ok``."""
+    def parse(raw: str):
+        value = kind(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: ..." stays
+    return parse
 
 
-def _parse_tags(raw: Optional[str]) -> List[str]:
-    if not raw:
-        return []
-    return [t.strip() for t in raw.split(",") if t.strip()]
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda x: x > 0, "positive")
 
 
-def _select(
-    parser: argparse.ArgumentParser,
-    ids: List[str],
-    tags: List[str],
-) -> List[registry.Scenario]:
-    """Scenarios chosen by explicit ids and/or tag filter."""
+def _listed(item):
+    """argparse ``type=``: a comma-separated list of ``item`` values."""
+    def parse(raw: str):
+        values = [item(part) for part in raw.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError("must name at least one value")
+        return values
+
+    parse.__name__ = item.__name__
+    return parse
+
+
+def _pairs(parser, flag: str, raws, value: str = "value") -> Dict[str, str]:
+    """``NAME=VALUE`` option values as raw strings keyed by name; a
+    missing ``=`` or a name given twice is a usage error."""
+    pairs: Dict[str, str] = {}
+    for raw in raws or ():
+        name, eq, text = raw.partition("=")
+        name = name.strip()
+        if not eq:
+            parser.error(f"{flag} expects name={value}, got {raw!r}")
+        if name in pairs:
+            parser.error(f"{flag} {name} given twice; pass "
+                         f"{flag} {name}={value} once")
+        pairs[name] = text
+    return pairs
+
+
+def _check_ids(parser, ids: List[str]) -> None:
+    """Usage error unless every id names a registered scenario."""
     registry.load_builtin()
     known = set(registry.ids())
     unknown = [i for i in ids if i not in known]
@@ -98,15 +133,51 @@ def _select(
             f"unknown scenario(s) {unknown}; choose from "
             f"{', '.join(sorted(known))}"
         )
-    if ids:
-        selected = [registry.get(i) for i in ids]
-        if tags:
-            wanted = frozenset(tags)
-            selected = [sc for sc in selected if wanted <= sc.tags]
-        return selected
-    if tags:
-        return registry.find(tags=tags)
-    return [registry.get(i) for i in _paper_ids()]
+
+
+def _parse_tags(raw: Optional[str]) -> List[str]:
+    if not raw:
+        return []
+    return [t.strip() for t in raw.split(",") if t.strip()]
+
+
+def _waivers(parser, explicit: Optional[str]):
+    """Waivers from ``--waivers FILE`` or ``./lint-waivers.toml``.
+
+    An explicitly named file must exist and parse; the conventional
+    default is optional (no file → no waivers).
+    """
+    from . import lint as lint_pkg
+
+    if explicit is None and not Path("lint-waivers.toml").exists():
+        return []
+    try:
+        return lint_pkg.load_waivers(explicit or "lint-waivers.toml")
+    except lint_pkg.WaiverError as exc:
+        parser.error(str(exc))
+
+
+def _emit(dest: str, text: str, what: str) -> None:
+    """Write ``text`` to stdout when ``dest`` is ``-``, else to the
+    file ``dest`` with a one-line note on stdout."""
+    if dest == "-":
+        print(text, end="")  # machine output only: keep stdout parseable
+    else:
+        Path(dest).write_text(text, encoding="utf-8")
+        print(f"{what} written to {dest}")
+
+
+def _summary(outcomes, **fields) -> Dict[str, object]:
+    """``fields`` plus the outcomes' failure tally (a point that raised
+    counts as one, any other as its failed checks) and counter rollup."""
+    summary: Dict[str, object] = dict(fields)
+    summary["failures"] = sum(
+        1 if o.error else len(o.result.failures()) for o in outcomes
+    )
+    counters = obs_telemetry.counter_rollup(outcomes)
+    if counters:
+        summary["counters"] = counters
+    return summary
 
 
 # ----------------------------------------------------------------------
@@ -135,37 +206,6 @@ def _cmd_list(args, parser) -> int:
     return 0
 
 
-def _capabilities(sc) -> List[str]:
-    """Backend capabilities of one scenario, probed, not declared.
-
-    ``batchable`` and ``design tree`` read the registration;
-    ``compilable`` actually levelizes the fast-mode design, because the
-    one authority on whether a tree survives the compiled backend is
-    the compiler itself.
-    """
-    caps: List[str] = []
-    if sc.has_batch:
-        caps.append(
-            f"batchable ({sc.batch_axis} x {sc.batch_lanes} lanes/word)"
-        )
-    if not sc.has_design:
-        return caps
-    caps.append("design tree")
-    from .compiled import CompileError, compile_component
-
-    try:
-        circuit = compile_component(sc.design_for(fast=True))
-    except (CompileError, ValueError, registry.ScenarioError):
-        caps.append("not compilable")
-    else:
-        stats = circuit.stats()
-        caps.append(
-            f"compilable (depth {stats.depth}, "
-            f"{stats.n_gates} gates)"
-        )
-    return caps
-
-
 def _list_verbose(scenarios) -> int:
     """Full typed ParamSpec per scenario, so sweep grids can be
     written without reading the experiment source."""
@@ -179,7 +219,7 @@ def _list_verbose(scenarios) -> int:
         print(f"{sc.id} — {sc.description}{suffix}")
         if sc.tags:
             print(f"  tags: {', '.join(sorted(sc.tags))}")
-        caps = _capabilities(sc)
+        caps = sc.capabilities()
         if caps:
             print(f"  capabilities: {', '.join(caps)}")
         if not sc.params:
@@ -211,6 +251,8 @@ def _list_verbose(scenarios) -> int:
 
 
 def _cmd_inspect(args, parser) -> int:
+    from . import lint as lint_pkg
+
     registry.load_builtin()
     try:
         sc = registry.get(args.scenario)
@@ -223,20 +265,13 @@ def _cmd_inspect(args, parser) -> int:
             f"scenario {sc.id!r} exposes no design tree; scenarios "
             f"that do: {', '.join(with_design) or 'none'}"
         )
-    overrides = {}
-    for raw in args.set or []:
-        name, eq, value = raw.partition("=")
-        if not eq:
-            parser.error(f"--set expects name=value, got {raw!r}")
-        try:
-            overrides[name.strip()] = sc.param(name.strip()).coerce(value)
-        except registry.ScenarioError as exc:
-            parser.error(str(exc))
+    pins = _pairs(parser, "--set", args.set)
     try:
-        design = sc.design_for(overrides=overrides, fast=args.fast)
+        design = sc.design_for(overrides=pins, fast=args.fast)
     except (registry.ScenarioError, ValueError) as exc:
-        # covers DesignError (bad fault_paths) and config validation
-        # (e.g. n_buffers=0) from the scenario's design hook
+        # covers unknown or ill-typed pins, DesignError (bad
+        # fault_paths) and config validation (e.g. n_buffers=0) from
+        # the scenario's design hook
         parser.error(str(exc))
     from .analysis.report import render_design_summary
 
@@ -254,21 +289,14 @@ def _cmd_inspect(args, parser) -> int:
     else:
         print(f"{n_instances} instance(s) (structural view, "
               f"not elaborated onto a simulator)")
-    from . import lint as lint_pkg
-
-    findings = lint_pkg.lint_design(
-        design, scenario=sc.id,
-        waivers=_load_default_waivers(parser, None),
-    )
-    if findings:
-        counts: dict = {}
-        for f in findings:
-            key = "waived" if f.waived else f.severity
-            counts[key] = counts.get(key, 0) + 1
+    report = lint_pkg.LintReport(sc.id, lint_pkg.lint_design(
+        design, scenario=sc.id, waivers=_waivers(parser, None),
+    ))
+    if report.findings:
         print("lint: " + ", ".join(
-            f"{n} {key}" for key, n in sorted(counts.items())
+            f"{n} {key}" for key, n in sorted(report.counts().items())
         ))
-        for f in findings:
+        for f in report.findings:
             print(f"  {f.render()}")
     else:
         print("lint: clean")
@@ -292,26 +320,6 @@ def _cmd_inspect(args, parser) -> int:
     return 0
 
 
-def _load_default_waivers(parser, explicit: Optional[str]):
-    """Waivers from ``--waivers FILE`` or ``./lint-waivers.toml``.
-
-    An explicitly named file must exist and parse; the conventional
-    default is optional (no file → no waivers).
-    """
-    from . import lint as lint_pkg
-
-    path = explicit
-    if path is None:
-        default = Path("lint-waivers.toml")
-        if not default.exists():
-            return []
-        path = str(default)
-    try:
-        return lint_pkg.load_waivers(path)
-    except lint_pkg.WaiverError as exc:
-        parser.error(str(exc))
-
-
 def _cmd_lint(args, parser) -> int:
     from . import lint as lint_pkg
 
@@ -324,33 +332,11 @@ def _cmd_lint(args, parser) -> int:
                 s.id for s in registry.all_scenarios() if s.has_design
             )
         )
-    ids = None
-    if not args.all:
-        known = set(registry.ids())
-        unknown = [i for i in args.scenarios if i not in known]
-        if unknown:
-            parser.error(
-                f"unknown scenario(s) {unknown}; choose from "
-                f"{', '.join(sorted(known))}"
-            )
-        ids = list(args.scenarios)
-    overrides = {}
-    for raw in args.set or []:
-        name, eq, value = raw.partition("=")
-        if not eq:
-            parser.error(f"--set expects name=value, got {raw!r}")
-        overrides[name.strip()] = value
-    if ids and overrides:
-        declared = set()
-        for sid in ids:
-            declared |= {spec.name for spec in registry.get(sid).params}
-        bogus = sorted(set(overrides) - declared)
-        if bogus:
-            parser.error(
-                f"--set {', '.join(bogus)}: no selected scenario "
-                f"declares such a parameter"
-            )
-    waivers = _load_default_waivers(parser, args.waivers)
+    ids = None if args.all else list(args.scenarios)
+    if ids:
+        _check_ids(parser, ids)
+    overrides = _pairs(parser, "--set", args.set)
+    waivers = _waivers(parser, args.waivers)
     try:
         reports = lint_pkg.lint_registry(
             ids=ids, overrides=overrides or None,
@@ -374,77 +360,42 @@ def _cmd_lint(args, parser) -> int:
     return 0
 
 
-def _lint_preflight(args, parser, sc, fixed) -> int:
-    """The ``sweep --lint`` gate: refuse grids with error findings."""
+def _lint_preflight(parser, sc, fixed, fast: bool) -> bool:
+    """The ``sweep --lint`` gate: True when the grid is refused."""
     from . import lint as lint_pkg
 
     if not sc.has_design:
         print(f"lint pre-flight: {sc.id} exposes no design tree; "
               f"nothing to check")
-        return 0
-    waivers = _load_default_waivers(parser, None)
+        return False
     try:
         report = lint_pkg.lint_scenario(
-            sc, overrides=fixed or None, fast=args.fast,
-            waivers=waivers,
+            sc, overrides=fixed or None, fast=fast,
+            waivers=_waivers(parser, None),
         )
     except (registry.ScenarioError, ValueError) as exc:
         parser.error(str(exc))
-    errors = [
-        f for f in report.findings
-        if not f.waived and f.severity == "error"
-    ]
-    if errors:
-        print(
-            f"lint pre-flight: {len(errors)} error-level finding(s) "
-            f"in {sc.id}; refusing to dispatch the sweep",
-            file=sys.stderr,
-        )
-        for finding in errors:
-            print(f"  {finding.render()}", file=sys.stderr)
-        return 1
-    print(f"lint pre-flight: {sc.id} clean at error level")
-    return 0
-
-
-def _report_outcomes(outcomes, out_dir) -> int:
-    """Print rendered results, optionally write artifacts; count failures."""
-    failures = 0
-    for outcome in outcomes:
-        if outcome.error:
-            print(
-                f"scenario {outcome.request.scenario_id} raised:\n"
-                f"{outcome.error}",
-                file=sys.stderr,
-            )
-            failures += 1
-            continue
-        print(outcome.result.render())
-        print()
-        failures += len(outcome.result.failures())
-    if out_dir:
-        summary = artifacts.write_artifacts(outcomes, out_dir)
-        print(f"artifacts written to {summary.parent}")
-        doc = {
-            "command": "run",
-            "failures": failures,
-            "points": [
-                obs_telemetry.point_record(o) for o in outcomes
-            ],
-        }
-        rollup = _counter_rollup(outcomes)
-        if rollup:
-            doc["counters"] = rollup
-        if obs_metrics.REGISTRY.enabled:
-            snap = obs_metrics.REGISTRY.snapshot()
-            if snap:
-                doc["metrics"] = snap
-        obs_telemetry.write_snapshot(out_dir, doc)
-    return failures
+    if not lint_pkg.gate([report], "error"):
+        print(f"lint pre-flight: {sc.id} clean at error level")
+        return False
+    print(
+        f"lint pre-flight: {report.counts()['error']} error-level "
+        f"finding(s) in {sc.id}; refusing to dispatch the sweep",
+        file=sys.stderr,
+    )
+    for finding in report.findings:
+        print(f"  {finding.render()}", file=sys.stderr)
+    return True
 
 
 def _cmd_run(args, parser) -> int:
-    scenarios = _select(parser, args.scenarios, _parse_tags(args.tags))
+    _check_ids(parser, args.scenarios)
+    wanted = frozenset(_parse_tags(args.tags))
+    if args.scenarios:
+        scenarios = [registry.get(i) for i in args.scenarios]
+        scenarios = [sc for sc in scenarios if wanted <= sc.tags]
+    else:
+        scenarios = registry.find(tags=wanted or ("paper",))
     if not scenarios:
         parser.error("selection matches no scenarios")
     skipped = [sc.id for sc in scenarios if args.fast and sc.fast_skip]
@@ -463,12 +414,29 @@ def _cmd_run(args, parser) -> int:
         )
         return 1
     outcomes = engine.execute(requests, jobs=args.jobs)
-    failures = _report_outcomes(outcomes, args.out)
+    for outcome in outcomes:
+        if outcome.error:
+            print(
+                f"scenario {outcome.request.scenario_id} raised:\n"
+                f"{outcome.error}",
+                file=sys.stderr,
+            )
+        else:
+            print(outcome.result.render())
+            print()
+    summary = _summary(
+        outcomes, command="run",
+        points=[obs_telemetry.point_record(o) for o in outcomes],
+    )
+    if args.out:
+        written = artifacts.write_artifacts(outcomes, args.out)
+        print(f"artifacts written to {written.parent}")
+        obs_telemetry.write_snapshot(args.out, summary)
     for sid in skipped:
         print(f"(skipped {sid}: needs gate-level simulation, "
               f"incompatible with --fast)")
-    if failures:
-        print(f"{failures} paper-vs-measured check(s) FAILED",
+    if summary["failures"]:
+        print(f"{summary['failures']} paper-vs-measured check(s) FAILED",
               file=sys.stderr)
         return 1
     print("all paper-vs-measured checks passed")
@@ -476,57 +444,39 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    if not args.progress:
+        return _sweep(args, parser)
+    # --progress implies telemetry: the display and the stream feed
+    # from the same counters, and the export makes spawned worker
+    # processes collect too; both are undone when the sweep returns
+    with obs_metrics.collecting(export=True):
+        return _sweep(args, parser)
+
+
+def _sweep(args, parser) -> int:
     registry.load_builtin()
-    if args.progress:
-        # --progress implies telemetry: the display and the stream feed
-        # from the same counters, and enable() exports REPRO_TELEMETRY
-        # so spawned worker processes collect too
-        obs_metrics.enable()
     try:
         sc = registry.get(args.scenario)
     except registry.ScenarioError as exc:
         parser.error(str(exc))
+    axes = _pairs(parser, "--param", args.param, "v1,v2,...")
+    fixed = _pairs(parser, "--set", args.set)
     try:
-        axes = {}
-        for raw in args.param or []:
-            name, _, values = raw.partition("=")
-            if not _:
-                parser.error(f"--param expects name=v1,v2,... got {raw!r}")
-            name = name.strip()
-            if name in axes:
-                parser.error(
-                    f"--param {name} given twice; list every value in "
-                    f"one axis: --param {name}=v1,v2,..."
-                )
-            axes[name] = sweep.parse_axis(sc, name, values)
-        fixed = {}
-        for raw in args.set or []:
-            name, _, value = raw.partition("=")
-            if not _:
-                parser.error(f"--set expects name=value, got {raw!r}")
-            name = name.strip()
-            if name in fixed:
-                parser.error(f"--set {name} given twice")
-            fixed[name] = sc.param(name).coerce(value)
+        axes = {n: sweep.parse_axis(sc, n, v) for n, v in axes.items()}
         requests = sweep.build_requests(
             sc, axes=axes or None, fixed=fixed or None, fast=args.fast
         )
     except registry.ScenarioError as exc:
         parser.error(str(exc))
 
-    if args.lint:
-        code = _lint_preflight(args, parser, sc, fixed)
-        if code:
-            return code
+    if args.lint and _lint_preflight(parser, sc, fixed, args.fast):
+        return 1
 
     fabric_mode = bool(args.fabric) or args.workers > 0
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
     if fabric_mode and args.jobs != 1:
         parser.error(
             "--jobs does not apply to fabric mode; use --workers N"
         )
-
     out_dir = args.out
     if args.resume:
         if out_dir and Path(out_dir) != Path(args.resume):
@@ -537,113 +487,79 @@ def _cmd_sweep(args, parser) -> int:
         out_dir = args.resume
 
     fingerprint = run_store_pkg.code_fingerprint()
-    completed = {}
-    journal_completed = frozenset()  # requests the journal already holds
-    journal_is_current = False
-    if args.resume:
-        jpath = store_journal.journal_path(out_dir)
-        if jpath.exists():
-            header = None
-            try:
-                header, past = store_journal.recover(jpath)
-            except store_journal.JournalError:
-                # a kill during Journal.start() leaves an empty or
-                # headerless file; that's still a resumable state —
-                # nothing was completed, so rerun every point
-                print(
-                    f"journal {jpath} has no usable header; "
-                    f"rerunning every point",
-                    file=sys.stderr,
-                )
-            if header is None:
-                pass
-            elif (header.get("scenario") != sc.id
-                    or header.get("fingerprint") != fingerprint):
-                print(
-                    f"journal {jpath} was written by a different "
-                    f"scenario or code version; rerunning every point",
-                    file=sys.stderr,
-                )
-            else:
-                wanted = set(requests)
-                completed = {o.request: o for o in past
-                             if o.request in wanted}
-                journal_completed = frozenset(completed)
-                journal_is_current = True
-
-    cache = (
-        run_store_pkg.RunStore(args.store, fingerprint=fingerprint)
-        if args.store else None
-    )
-    store_hits = 0
-    if cache is not None:
-        for request in requests:
-            if request not in completed:
-                hit = cache.get(request)
-                if hit is not None:
-                    completed[request] = hit
-                    store_hits += 1
-
-    remaining = [r for r in requests if r not in completed]
-    if fabric_mode:
-        print(f"sweeping {sc.id}: {len(requests)} point(s), "
-              f"fabric workers={args.workers}")
-    else:
-        print(f"sweeping {sc.id}: {len(requests)} point(s), "
-              f"jobs={args.jobs}")
-    if completed:
-        print(f"resuming: {len(completed) - store_hits} journaled + "
-              f"{store_hits} stored point(s) reused, "
-              f"{len(remaining)} to run")
-
     journal_writer = None
-    telemetry_writer = None
-    resumed_stream = False
+    journaled = {}  # requests the journal already holds
     if out_dir:
         journal_writer = store_journal.Journal(
             store_journal.journal_path(out_dir)
         )
-        if not journal_is_current:
+        if args.resume:
+            past, note = journal_writer.resume(sc.id, fingerprint)
+            if note:
+                print(note, file=sys.stderr)
+            wanted = set(requests)
+            journaled = {o.request: o for o in past if o.request in wanted}
+        else:
             journal_writer.start(sc.id, fingerprint)
-        telemetry_writer = obs_telemetry.TelemetryWriter(
-            obs_telemetry.stream_path(out_dir)
-        )
-        if journal_is_current and telemetry_writer.path.exists():
-            try:
-                obs_telemetry.recover_stream(telemetry_writer.path)
-                resumed_stream = True
-            except (obs_telemetry.TelemetryError, OSError):
-                resumed_stream = False  # rewrite from scratch below
-        if not resumed_stream:
-            telemetry_writer.start(
-                sc.id, fingerprint,
-                jobs=args.jobs, total_points=len(requests),
-            )
-        # points reused from the store still belong in this sweep's
-        # journal — without them a later --resume would re-run them;
-        # the telemetry stream mirrors them (a resumed stream already
-        # holds the journaled points, so only store hits are new)
+
+    completed = dict(journaled)
+    cache = (
+        run_store_pkg.RunStore(args.store, fingerprint=fingerprint)
+        if args.store else None
+    )
+    if cache is not None:
         for request in requests:
-            outcome = completed.get(request)
-            if outcome is None:
-                continue
-            from_store = request not in journal_completed
-            if from_store:
-                journal_writer.append(outcome)
-            if from_store or not resumed_stream:
-                telemetry_writer.append_point(
-                    outcome, store_hit=from_store
-                )
+            hit = None if request in completed else cache.get(request)
+            if hit is not None:
+                completed[request] = hit
+    store_hits = len(completed) - len(journaled)
+
+    remaining = [r for r in requests if r not in completed]
+    mode = (f"fabric workers={args.workers}" if fabric_mode
+            else f"jobs={args.jobs}")
+    print(f"sweeping {sc.id}: {len(requests)} point(s), {mode}")
+    if completed:
+        print(f"resuming: {len(journaled)} journaled + "
+              f"{store_hits} stored point(s) reused, "
+              f"{len(remaining)} to run")
 
     progress = (
         obs_progress.SweepProgress(len(requests))
         if args.progress else None
     )
-    if progress is not None:
-        for request in requests:
-            outcome = completed.get(request)
-            if outcome is not None:
-                progress.point_done(ok=outcome.ok, cached=True)
+    telemetry_writer = None
+    resumed_stream = False
+    if out_dir:
+        telemetry_writer = obs_telemetry.TelemetryWriter(
+            obs_telemetry.stream_path(out_dir)
+        )
+        if journaled and telemetry_writer.path.exists():
+            try:
+                obs_telemetry.recover_stream(telemetry_writer.path)
+                resumed_stream = True
+            except (obs_telemetry.TelemetryError, OSError):
+                pass  # rewrite from scratch below
+        if not resumed_stream:
+            telemetry_writer.start(
+                sc.id, fingerprint,
+                jobs=args.jobs, total_points=len(requests),
+            )
+    # points reused from the store still belong in this sweep's journal
+    # — without them a later --resume would re-run them; the telemetry
+    # stream mirrors them (a resumed stream already holds the journaled
+    # points, so only store hits are new)
+    for request in requests:
+        outcome = completed.get(request)
+        if outcome is None:
+            continue
+        if progress is not None:
+            progress.point_done(ok=outcome.ok, cached=True)
+        from_store = request not in journaled
+        if from_store and journal_writer is not None:
+            journal_writer.append(outcome)
+        if telemetry_writer is not None and (
+                from_store or not resumed_stream):
+            telemetry_writer.append_point(outcome, store_hit=from_store)
 
     def on_outcome(outcome):
         # journal/store immediately so a killed sweep loses nothing done
@@ -682,56 +598,41 @@ def _cmd_sweep(args, parser) -> int:
         journal_writer.rewrite(sc.id, outcomes, fingerprint)
 
     rows = []
-    failures = 0
     for outcome in outcomes:
         params = ", ".join(
             f"{k}={v}" for k, v in outcome.request.params
         ) or "-"
         if outcome.error:
-            rows.append([outcome.request.scenario_id, params, "ERROR"])
             print(
                 f"scenario point ({params}) raised:\n{outcome.error}",
                 file=sys.stderr,
             )
-            failures += 1
-            continue
-        bad = len(outcome.result.failures())
-        failures += bad
-        rows.append([
-            outcome.request.scenario_id,
-            params,
-            "ok" if bad == 0 else f"{bad} FAILED",
-        ])
+            status = "ERROR"
+        else:
+            bad = len(outcome.result.failures())
+            status = "ok" if bad == 0 else f"{bad} FAILED"
+        rows.append([outcome.request.scenario_id, params, status])
     print(format_table(
         ("scenario", "point", "checks"),
         rows,
         title=f"sweep of {sc.id}",
     ))
     if out_dir:
-        summary = artifacts.write_artifacts(outcomes, out_dir)
-        print(f"artifacts written to {summary.parent}")
+        written = artifacts.write_artifacts(outcomes, out_dir)
+        print(f"artifacts written to {written.parent}")
+    summary = _summary(
+        outcomes, points=len(requests), executed=len(remaining),
+        reused=len(requests) - len(remaining), store_hits=store_hits,
+        jobs=args.jobs,
+    )
     if telemetry_writer is not None:
-        rollup = _counter_rollup(outcomes)
-        summary_rec = {
-            "points": len(requests),
-            "executed": len(remaining),
-            "reused": len(requests) - len(remaining),
-            "store_hits": store_hits,
-            "failures": failures,
-            "jobs": args.jobs,
-        }
-        if rollup:
-            summary_rec["counters"] = rollup
-        telemetry_writer.finish(summary_rec)
-        doc = {"command": "sweep", "scenario": sc.id}
-        doc.update(summary_rec)
-        if obs_metrics.REGISTRY.enabled:
-            snap = obs_metrics.REGISTRY.snapshot()
-            if snap:
-                doc["metrics"] = snap
-        obs_telemetry.write_snapshot(out_dir, doc)
-    if failures:
-        print(f"{failures} check(s)/point(s) FAILED", file=sys.stderr)
+        telemetry_writer.finish(summary)
+        obs_telemetry.write_snapshot(
+            out_dir, {"command": "sweep", "scenario": sc.id, **summary}
+        )
+    if summary["failures"]:
+        print(f"{summary['failures']} check(s)/point(s) FAILED",
+              file=sys.stderr)
         return 1
     print("all sweep points passed their checks")
     return 0
@@ -744,31 +645,27 @@ def _run_fabric(args, parser, sc, remaining, on_outcome):
     attach); with only ``--workers N`` a private temporary directory
     is used and cleaned up afterwards.  Returns ``(outcomes, note)``.
     """
+    import contextlib
     import tempfile
 
     from .fabric import FabricError, run_fabric_sweep
 
-    tmp_ctx = None
-    fabric_dir = args.fabric
-    if fabric_dir is None:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-fabric-")
-        fabric_dir = tmp_ctx.name
-    try:
-        result = run_fabric_sweep(
-            fabric_dir, sc.id, remaining,
-            workers=args.workers,
-            store=args.store,
-            lease_ttl=args.lease_ttl,
-            on_outcome=on_outcome,
-            timeout=args.fabric_timeout,
-            point_timeout=args.point_timeout,
-            quarantine_after=args.quarantine_after,
-        )
-    except FabricError as exc:
-        parser.error(str(exc))
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
+    where = (contextlib.nullcontext(args.fabric) if args.fabric
+             else tempfile.TemporaryDirectory(prefix="repro-fabric-"))
+    with where as fabric_dir:
+        try:
+            result = run_fabric_sweep(
+                fabric_dir, sc.id, remaining,
+                workers=args.workers,
+                store=args.store,
+                lease_ttl=args.lease_ttl,
+                on_outcome=on_outcome,
+                timeout=args.fabric_timeout,
+                point_timeout=args.point_timeout,
+                quarantine_after=args.quarantine_after,
+            )
+        except FabricError as exc:
+            parser.error(str(exc))
     return result.outcomes, result.summary()
 
 
@@ -776,8 +673,6 @@ def _cmd_worker(args, parser) -> int:
     from .chaos import ChaosSpecError, parse_spec
     from .fabric import FabricError, run_worker
 
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be positive")
     chaos = None
     if args.chaos:
         try:
@@ -816,30 +711,11 @@ def _cmd_fsck(args, parser) -> int:
     except FileNotFoundError as exc:
         parser.error(str(exc))
     if args.json is not None:
-        payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)  # machine output only: keep stdout parseable
-        else:
-            Path(args.json).write_text(payload + "\n", encoding="utf-8")
-            print(f"fsck JSON written to {args.json}")
-            print(report.render())
-    else:
+        _emit(args.json, json.dumps(report.to_json(), indent=2,
+                                    sort_keys=True) + "\n", "fsck JSON")
+    if args.json != "-":
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _counter_rollup(outcomes) -> dict:
-    """Sum the ``counter:`` metric deltas carried by outcomes.
-
-    With ``--jobs N`` the kernels count in worker processes, so the
-    parent registry stays empty — the per-outcome deltas are the one
-    place the totals survive, whatever the execution mode."""
-    rollup: dict = {}
-    for outcome in outcomes:
-        for key, value in (outcome.metrics or {}).items():
-            if key.startswith("counter:"):
-                rollup[key] = rollup.get(key, 0) + value
-    return dict(sorted(rollup.items()))
 
 
 def _cmd_bench(args, parser) -> int:
@@ -847,22 +723,20 @@ def _cmd_bench(args, parser) -> int:
 
     if args.suite not in ("noc", "all") and (args.mesh or args.rates):
         parser.error("--mesh/--rates only apply to the noc suite")
+    if args.suite == "noc" and args.scale != 1.0:
+        # checked before --fast rescales it: reject only an explicit
+        # user-supplied value that the selected suite would ignore
+        parser.error("--scale does not apply to the noc suite "
+                     "(size it with --cycles)")
+    if args.fast:
+        # short cycles only; repeats stay (best-of-N absorbs scheduler
+        # noise, which dominates sub-second timings)
+        args.cycles = min(args.cycles, 300)
+        args.scale = min(args.scale, 0.5)
     pairs = bench_mod.NOC_POINTS
     if args.mesh or args.rates:
-        try:
-            meshes = [int(m) for m in (args.mesh or "4,8").split(",") if m]
-            rates = [
-                float(r) for r in (args.rates or "0.1").split(",") if r
-            ]
-        except ValueError as exc:
-            parser.error(f"bad --mesh/--rates value: {exc}")
-        if not meshes or not rates:
-            parser.error("--mesh/--rates must name at least one value")
-        if any(m < 1 for m in meshes):
-            parser.error("--mesh sizes must be >= 1")
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            parser.error("--rates must be in [0, 1] flits/node/cycle")
-        pairs = [(mesh, rate) for mesh in meshes for rate in rates]
+        pairs = [(mesh, rate) for mesh in args.mesh or (4, 8)
+                 for rate in args.rates or (0.1,)]
     # noc rows take the workload options and are sized by --cycles; the
     # other suites' table rows are sized by --scale
     rows = [
@@ -923,19 +797,11 @@ def _cmd_telemetry(args, parser) -> int:
             store_journal.JournalError, ValueError) as exc:
         parser.error(f"cannot read telemetry from {args.target}: {exc}")
     if args.json:
-        text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-            print(f"telemetry JSON written to {args.json}")
+        _emit(args.json, json.dumps(report.to_json(), indent=2,
+                                    sort_keys=True) + "\n",
+              "telemetry JSON")
     if args.csv:
-        text = report.to_csv()
-        if args.csv == "-":
-            print(text, end="")
-        else:
-            Path(args.csv).write_text(text, encoding="utf-8")
-            print(f"telemetry CSV written to {args.csv}")
+        _emit(args.csv, report.to_csv(), "telemetry CSV")
     if not args.json and not args.csv:
         print(report.render())
     return 0
@@ -981,6 +847,54 @@ def _cmd_history(args, parser) -> int:
 
 
 # ----------------------------------------------------------------------
+def _option_groups():
+    """The options several subcommands share, declared once each as
+    argparse ``parents=``: scenario pins, execution, fabric leases."""
+    # imported when a parser is built, not when this module is, so
+    # importing the CLI stays free of the fabric package
+    from .fabric.worker import DEFAULT_QUARANTINE_AFTER
+
+    pins = argparse.ArgumentParser(add_help=False)
+    pins.add_argument(
+        "--set", action="append", metavar="NAME=VALUE",
+        help="pin a scenario parameter (repeatable; lint applies it to "
+             "every selected scenario that declares it, sweep to every "
+             "point)",
+    )
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument(
+        "--fast", action="store_true",
+        help="apply fast-mode parameter overrides; paper scenarios skip "
+             "gate-level simulations (analytical results only)",
+    )
+    execution.add_argument("--jobs", type=_COUNT, default=1, metavar="N",
+                           help="worker processes (default 1)")
+    execution.add_argument("--out", metavar="DIR",
+                           help="write CSV+JSON artifacts into DIR")
+    leases = argparse.ArgumentParser(add_help=False)
+    leases.add_argument(
+        "--lease-ttl", type=_POSITIVE, default=20.0, metavar="SEC",
+        help="fabric lease heartbeat deadline; a worker silent this "
+             "long forfeits its lease and the point is re-leased "
+             "(default 20)",
+    )
+    leases.add_argument(
+        "--point-timeout", type=float, default=None, metavar="SEC",
+        help="fabric wall-clock budget per work item; a point that "
+             "blows it journals as a structured 'point timeout' "
+             "failure instead of wedging its worker (default: none)",
+    )
+    leases.add_argument(
+        "--quarantine-after", type=int, default=DEFAULT_QUARANTINE_AFTER,
+        metavar="N",
+        help="fabric: a work item whose executor died N times is "
+             "quarantined — recorded as a structured failure without "
+             f"another execution attempt (default "
+             f"{DEFAULT_QUARANTINE_AFTER})",
+    )
+    return pins, execution, leases
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -990,8 +904,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command")
+    pins, execution, leases = _option_groups()
 
     p_list = sub.add_parser("list", help="show registered scenarios")
+    p_list.set_defaults(handler=_cmd_list)
     p_list.add_argument("--tags", help="comma-separated tag filter")
     p_list.add_argument(
         "--verbose", action="store_true",
@@ -1000,9 +916,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_inspect = sub.add_parser(
-        "inspect",
+        "inspect", parents=[pins],
         help="print a scenario's hierarchical design tree",
     )
+    p_inspect.set_defaults(handler=_cmd_inspect)
     p_inspect.add_argument("scenario", metavar="SCENARIO")
     p_inspect.add_argument(
         "--tree", action="store_true",
@@ -1011,10 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument(
         "--no-ports", action="store_true",
         help="omit port declarations from the tree",
-    )
-    p_inspect.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
-        help="pin a scenario parameter (repeatable)",
     )
     p_inspect.add_argument(
         "--fast", action="store_true",
@@ -1028,9 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_lint = sub.add_parser(
-        "lint",
+        "lint", parents=[pins],
         help="static design checks over scenario design trees",
     )
+    p_lint.set_defaults(handler=_cmd_lint)
     p_lint.add_argument(
         "scenarios", nargs="*", metavar="SCENARIO",
         help="scenario ids to lint (or pass --all)",
@@ -1039,11 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true",
         help="lint every registered scenario (those without a design "
              "tree are listed as skipped)",
-    )
-    p_lint.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
-        help="pin a scenario parameter (repeatable; applied to every "
-             "selected scenario that declares it)",
     )
     p_lint.add_argument(
         "--full", action="store_true",
@@ -1066,39 +975,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="waiver file (default: ./lint-waivers.toml when present)",
     )
 
-    p_run = sub.add_parser("run", help="execute scenarios")
+    p_run = sub.add_parser("run", parents=[execution],
+                           help="execute scenarios")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument(
         "scenarios", nargs="*", metavar="SCENARIO",
         help="scenario ids (default: every paper-tagged scenario)",
     )
     p_run.add_argument("--tags", help="comma-separated tag filter")
-    p_run.add_argument(
-        "--fast", action="store_true",
-        help="skip gate-level simulations (analytical results only)",
-    )
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1)")
-    p_run.add_argument("--out", metavar="DIR",
-                       help="write CSV+JSON artifacts into DIR")
 
     p_sweep = sub.add_parser(
-        "sweep", help="expand a parameter grid and run every point"
+        "sweep", parents=[pins, execution, leases],
+        help="expand a parameter grid and run every point",
     )
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("scenario", metavar="SCENARIO")
     p_sweep.add_argument(
         "--param", action="append", metavar="NAME=V1,V2,...",
         help="sweep axis (repeatable; default: the scenario's declared axes)",
     )
-    p_sweep.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
-        help="pin a parameter across every point (repeatable)",
-    )
-    p_sweep.add_argument("--fast", action="store_true",
-                         help="apply fast-mode parameter overrides")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes (default 1)")
-    p_sweep.add_argument("--out", metavar="DIR",
-                         help="write CSV+JSON artifacts into DIR")
     p_sweep.add_argument(
         "--resume", metavar="DIR",
         help="output directory of a killed sweep: skip the points its "
@@ -1124,15 +1019,10 @@ def build_parser() -> argparse.ArgumentParser:
              "artifacts stay byte-identical to --jobs 1",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=0, metavar="N",
+        "--workers", type=_checked(int, lambda n: n >= 0, ">= 0"),
+        default=0, metavar="N",
         help="spawn N local fabric worker processes (uses a private "
              "temporary fabric directory unless --fabric names one)",
-    )
-    p_sweep.add_argument(
-        "--lease-ttl", type=float, default=20.0, metavar="SEC",
-        help="fabric lease heartbeat deadline; a worker silent this "
-             "long forfeits its lease and the point is re-leased "
-             "(default 20)",
     )
     p_sweep.add_argument(
         "--fabric-timeout", type=float, default=None, metavar="SEC",
@@ -1140,26 +1030,14 @@ def build_parser() -> argparse.ArgumentParser:
              "seconds (default: wait forever)",
     )
     p_sweep.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SEC",
-        help="fabric mode: wall-clock budget per work item; a point "
-             "that blows it journals as a structured 'point timeout' "
-             "failure instead of wedging its worker (default: none)",
-    )
-    p_sweep.add_argument(
         "--lint", action="store_true",
         help="static pre-flight: lint the scenario's design at the "
              "sweep's pinned parameters and refuse to dispatch the "
              "grid if any unwaived error-level finding exists",
     )
-    p_sweep.add_argument(
-        "--quarantine-after", type=int, default=None, metavar="N",
-        help="fabric mode: a work item whose executor died N times is "
-             "quarantined — recorded as a structured failure without "
-             "another execution attempt (default 2)",
-    )
 
     p_worker = sub.add_parser(
-        "worker",
+        "worker", parents=[leases],
         help="attach to a fabric directory and execute leased points",
         description=(
             "Fabric worker daemon: waits for the coordinator's plan in "
@@ -1169,15 +1047,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and exits 0 once every planned point is published."
         ),
     )
+    p_worker.set_defaults(handler=_cmd_worker)
     p_worker.add_argument("fabric", metavar="DIR")
     p_worker.add_argument(
         "--id", default=None, metavar="NAME",
         help="worker identity (default: generated host-pid-random id); "
              "reusing an id resumes that worker's journal segment",
-    )
-    p_worker.add_argument(
-        "--lease-ttl", type=float, default=20.0, metavar="SEC",
-        help="lease deadline to claim and heartbeat with (default 20)",
     )
     p_worker.add_argument(
         "--poll", type=float, default=0.5, metavar="SEC",
@@ -1196,16 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--max-items", type=int, default=None, metavar="N",
         help="exit after executing N leased work items",
-    )
-    p_worker.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SEC",
-        help="wall-clock budget per work item; exceeded points journal "
-             "as structured 'point timeout' failures (default: none)",
-    )
-    p_worker.add_argument(
-        "--quarantine-after", type=int, default=2, metavar="N",
-        help="quarantine a work item after its lease record shows N "
-             "dead executors (default 2)",
     )
     p_worker.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -1229,6 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fully repaired."
         ),
     )
+    p_fsck.set_defaults(handler=_cmd_fsck)
     p_fsck.add_argument("dir", metavar="DIR")
     p_fsck.add_argument(
         "--dry-run", action="store_true",
@@ -1257,6 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
             "info) when no stream was written."
         ),
     )
+    p_tele.set_defaults(handler=_cmd_telemetry)
     p_tele.add_argument(
         "target", metavar="DIR_OR_FILE",
         help="sweep output directory, telemetry.jsonl, or journal.jsonl",
@@ -1274,6 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="compare two artifact trees; exit 1 on regression",
     )
+    p_diff.set_defaults(handler=_cmd_diff)
     p_diff.add_argument("old", metavar="BASELINE",
                         help="artifact directory or summary.json")
     p_diff.add_argument("new", metavar="CURRENT",
@@ -1287,6 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = sub.add_parser(
         "history", help="list the runs recorded in a result store"
     )
+    p_hist.set_defaults(handler=_cmd_history)
     p_hist.add_argument("store", metavar="DIR")
     p_hist.add_argument("--scenario", help="filter by scenario id")
 
@@ -1294,6 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="measure kernel throughput vs the frozen seed kernels",
     )
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument(
         "--suite", default="noc",
         choices=("noc", "gate", "compiled", "sweep", "all"),
@@ -1305,16 +1175,18 @@ def build_parser() -> argparse.ArgumentParser:
              "bare engine) (default noc)",
     )
     p_bench.add_argument(
-        "--scale", type=float, default=1.0, metavar="FRAC",
+        "--scale", type=_POSITIVE, default=1.0, metavar="FRAC",
         help="scale factor for the gate, compiled and sweep workload "
              "sizes (default 1.0; --fast uses 0.5)",
     )
     p_bench.add_argument(
-        "--mesh", metavar="N1,N2,...",
+        "--mesh", metavar="N1,N2,...", type=_listed(_COUNT),
         help="mesh sizes to bench (default: the standard 4/8 points)",
     )
     p_bench.add_argument(
         "--rates", metavar="R1,R2,...",
+        type=_listed(_checked(float, lambda r: 0.0 <= r <= 1.0,
+                              "in [0, 1] flits/node/cycle")),
         help="injection rates, flits/node/cycle (with --mesh; default 0.1)",
     )
     p_bench.add_argument(
@@ -1325,13 +1197,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--routing", default="xy",
                          choices=("xy", "west_first"))
-    p_bench.add_argument("--vcs", type=int, default=1, metavar="N",
+    p_bench.add_argument("--vcs", type=_COUNT, default=1, metavar="N",
                          help="virtual channels (default 1)")
     p_bench.add_argument("--kind", default="I3", choices=("I1", "I2", "I3"),
                          help="link implementation (default I3)")
-    p_bench.add_argument("--cycles", type=int, default=1500, metavar="N",
+    p_bench.add_argument("--cycles", type=_COUNT, default=1500, metavar="N",
                          help="timed cycles per noc point (default 1500)")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
+    p_bench.add_argument("--repeats", type=_COUNT, default=3, metavar="N",
                          help="best-of-N timing repeats (default 3)")
     p_bench.add_argument(
         "--fast", action="store_true",
@@ -1364,54 +1236,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
+    handler = getattr(args, "handler", None)
+    if handler is None:
         parser.print_help()
         return 2
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
-    if args.command == "bench":
-        if args.cycles < 1:
-            parser.error("--cycles must be >= 1")
-        if args.repeats < 1:
-            parser.error("--repeats must be >= 1")
-        if args.vcs < 1:
-            parser.error("--vcs must be >= 1")
-        if args.scale <= 0:
-            parser.error("--scale must be positive")
-        if args.suite == "noc" and args.scale != 1.0:
-            # checked before --fast rescales it: reject only an explicit
-            # user-supplied value that the selected suite would ignore
-            parser.error("--scale does not apply to the noc suite "
-                         "(size it with --cycles)")
-        if args.fast:
-            # short cycles only; repeats stay (best-of-N absorbs
-            # scheduler noise, which dominates sub-second timings)
-            args.cycles = min(args.cycles, 300)
-            args.scale = min(args.scale, 0.5)
-        return _cmd_bench(args, parser)
-    if args.command == "list":
-        return _cmd_list(args, parser)
-    if args.command == "inspect":
-        return _cmd_inspect(args, parser)
-    if args.command == "lint":
-        return _cmd_lint(args, parser)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "diff":
-        return _cmd_diff(args, parser)
-    if args.command == "history":
-        return _cmd_history(args, parser)
-    if args.command == "telemetry":
-        return _cmd_telemetry(args, parser)
-    if args.command == "worker":
-        return _cmd_worker(args, parser)
-    if args.command == "fsck":
-        return _cmd_fsck(args, parser)
-    return _cmd_sweep(args, parser)
-
-
-#: paper-artifact ids, derived from the registry (back-compat re-export)
-EXPERIMENT_IDS = tuple(_paper_ids())
+    return handler(args, parser)
 
 
 if __name__ == "__main__":

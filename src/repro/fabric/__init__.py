@@ -7,9 +7,6 @@ service built entirely from seams that already existed — picklable
 :class:`~repro.store.RunStore`, and the append-only journal with
 torn-tail recovery:
 
-* :mod:`repro.fabric.dispatch` — capacity-limited deferred dispatch
-  (the ``cs/later.py`` pattern): submit work, at most ``capacity``
-  callables run at once, the rest queue FIFO;
 * :mod:`repro.fabric.transport` — the lease protocol.  The abstract
   surface is :class:`Transport`; the one implementation is
   :class:`FileTransport`, lease records and published results as
@@ -32,7 +29,6 @@ seeded fault schedules in :mod:`repro.chaos` and audited offline by
 ``repro fsck``.
 """
 
-from .dispatch import CapacityDispatcher, Deferred
 from .transport import (
     FabricError,
     FileTransport,
@@ -44,8 +40,6 @@ from .worker import WorkerStats, run_worker
 from .coordinator import FabricSweep, plan_fabric, run_fabric_sweep
 
 __all__ = [
-    "CapacityDispatcher",
-    "Deferred",
     "FabricError",
     "FabricSweep",
     "FileTransport",

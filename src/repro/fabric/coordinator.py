@@ -3,8 +3,8 @@
 ``run_fabric_sweep`` is the whole coordinator side of a distributed
 sweep.  It seeds the shared directory with the plan (grid requests in
 canonical order plus the engine's batch-packed work items), optionally
-spawns ``repro worker`` subprocesses under a capacity-limited
-dispatcher that restarts dead workers, then sits in a monitor loop:
+spawns ``repro worker`` subprocesses, one supervising thread per slot
+that restarts a dead worker, then sits in a monitor loop:
 
 * ingest newly published results the moment they land (the
   ``on_outcome`` callback fires in completion order, exactly like the
@@ -42,7 +42,6 @@ from ..runner.engine import RunOutcome, RunRequest
 from ..store import codec
 from ..store import journal as journal_mod
 from ..store.store import code_fingerprint, request_key
-from .dispatch import CapacityDispatcher, Deferred
 from .transport import (
     FabricError,
     FileTransport,
@@ -155,7 +154,11 @@ def _worker_env() -> Dict[str, str]:
 
 
 class _WorkerCrew:
-    """Local worker subprocesses under capacity-limited supervision."""
+    """Local worker subprocesses, one supervising thread per slot.
+
+    A slot's thread relaunches its dead worker; an exception from it
+    (restarts exhausted) is recorded for :meth:`first_failure`.
+    """
 
     def __init__(self, count: int, spawn: Callable[[int], subprocess.Popen],
                  max_restarts: int) -> None:
@@ -166,17 +169,23 @@ class _WorkerCrew:
         self.spawned = 0
         self._lock = threading.Lock()
         self._procs: Set[subprocess.Popen] = set()
-        self._dispatcher = CapacityDispatcher(
-            capacity=count, name="fabric-workers"
-        )
-        self.handles: List[Deferred] = [
-            self._dispatcher.submit(
-                self._supervise, index, label=f"worker-{index}"
-            )
+        self._failures: List[Optional[BaseException]] = [None] * count
+        self._threads = [
+            threading.Thread(target=self._slot, args=(index,),
+                             name=f"fabric-workers:worker-{index}",
+                             daemon=True)
             for index in range(count)
         ]
+        for thread in self._threads:
+            thread.start()
 
-    def _supervise(self, index: int) -> int:
+    def _slot(self, index: int) -> None:
+        try:
+            self._supervise(index)
+        except BaseException as exc:  # surfaced by first_failure()
+            self._failures[index] = exc
+
+    def _supervise(self, index: int) -> None:
         restarts = 0
         while not self.done.is_set():
             proc = self._spawn(index)
@@ -189,7 +198,7 @@ class _WorkerCrew:
                 with self._lock:
                     self._procs.discard(proc)
             if rc == 0 or self.done.is_set():
-                return rc
+                return
             restarts += 1
             with self._lock:
                 self.restarts += 1
@@ -200,14 +209,13 @@ class _WorkerCrew:
                     f"fabric worker {index} died {restarts} times "
                     f"(last exit code {rc}); giving up on this slot"
                 )
-        return 0
 
     def all_exited(self) -> bool:
-        return all(handle.done for handle in self.handles)
+        return not any(thread.is_alive() for thread in self._threads)
 
     def first_failure(self) -> Optional[BaseException]:
-        failed = self._dispatcher.failures()
-        return failed[0].exception if failed else None
+        return next((exc for exc in self._failures if exc is not None),
+                    None)
 
     def shutdown(self) -> None:
         self.done.set()
@@ -221,7 +229,9 @@ class _WorkerCrew:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 proc.kill()
-        self._dispatcher.drain(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def _salvage(

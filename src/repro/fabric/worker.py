@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..runner import engine, registry
 from ..store import codec
-from ..store import journal as journal_mod
 from ..store.journal import Journal
 from ..store.store import RunStore, code_fingerprint, request_key
 from ..obs.metrics import REGISTRY
@@ -178,12 +177,10 @@ def _open_segments(
     """Per-worker journal + telemetry segments, resumable after a crash."""
     seg_dir = transport.worker_dir(worker_id)
     journal = Journal(seg_dir / "journal.jsonl")
-    if journal.path.exists():
-        # same worker id re-attached (restart): drop any torn tail,
-        # then keep appending
-        journal_mod.recover(journal.path)
-    else:
-        journal.start(scenario_id, fingerprint)
+    # same worker id re-attached (restart): keep appending to its
+    # segment, torn tail dropped; a segment a kill inside start() left
+    # empty or headerless begins afresh
+    journal.resume(scenario_id, fingerprint)
     telemetry = TelemetryWriter(seg_dir / "telemetry.jsonl")
     if not telemetry.path.exists():
         telemetry.start(scenario_id, fingerprint, jobs=1)

@@ -109,13 +109,23 @@ def lint_registry(ids: Optional[Sequence[str]] = None,
     ``ids=None`` lints every registered scenario (those without a
     design hook appear as skipped reports, so ``--all`` output names
     what was *not* checked).  Parameter ``overrides`` only apply to
-    scenarios that declare every overridden name.
+    scenarios that declare every overridden name; with explicit ``ids``
+    an override no selected scenario declares is a
+    :class:`~repro.runner.registry.ScenarioError`.
     """
     registry.load_builtin()
     scenarios = (
         [registry.get(i) for i in ids] if ids is not None
         else registry.all_scenarios()
     )
+    if ids is not None and overrides:
+        declared = {spec.name for sc in scenarios for spec in sc.params}
+        bogus = sorted(set(overrides) - declared)
+        if bogus:
+            raise registry.ScenarioError(
+                f"--set {', '.join(bogus)}: no selected scenario "
+                f"declares such a parameter"
+            )
     reports: List[LintReport] = []
     for sc in scenarios:
         usable = overrides or {}

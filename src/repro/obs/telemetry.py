@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+from .metrics import REGISTRY
 
 #: file names inside a sweep/run output directory
 STREAM_FILENAME = "telemetry.jsonl"
@@ -161,12 +163,34 @@ def recover_stream(path) -> Tuple[Dict[str, object],
     return header, records
 
 
+def counter_rollup(outcomes: Iterable) -> Dict[str, int]:
+    """Sum the ``counter:`` metric deltas carried by outcomes.
+
+    With ``--jobs N`` the kernels count in worker processes, so the
+    parent registry stays empty — the per-outcome deltas are the one
+    place the totals survive, whatever the execution mode."""
+    rollup: Dict[str, int] = {}
+    for outcome in outcomes:
+        for key, value in (outcome.metrics or {}).items():
+            if key.startswith("counter:"):
+                rollup[key] = rollup.get(key, 0) + value
+    return dict(sorted(rollup.items()))
+
+
 def write_snapshot(out_dir, document: Dict[str, object]) -> Path:
-    """Write the ``telemetry.json`` end-of-run snapshot; returns its path."""
+    """Write the ``telemetry.json`` end-of-run snapshot; returns its path.
+
+    When the metrics registry is enabled its non-empty snapshot rides
+    along as ``metrics``.
+    """
     path = snapshot_path(out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"version": STREAM_VERSION}
     payload.update(document)
+    if REGISTRY.enabled:
+        snap = REGISTRY.snapshot()
+        if snap:
+            payload["metrics"] = snap
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

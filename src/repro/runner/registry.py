@@ -174,6 +174,32 @@ class Scenario:
             tech=tech, **self.resolve_params(overrides, fast)
         )
 
+    def capabilities(self) -> List[str]:
+        """Backend capabilities, probed, not declared.
+
+        ``batchable`` and ``design tree`` read the registration;
+        ``compilable`` actually levelizes the fast-mode design, because
+        the one authority on whether a tree survives the compiled
+        backend is the compiler itself.
+        """
+        caps: List[str] = []
+        if self.has_batch:
+            caps.append(f"batchable ({self.batch_axis} x "
+                        f"{self.batch_lanes} lanes/word)")
+        if not self.has_design:
+            return caps
+        caps.append("design tree")
+        from ..compiled import CompileError, compile_component
+
+        try:
+            stats = compile_component(self.design_for(fast=True)).stats()
+        except (CompileError, ValueError):  # ScenarioError included
+            caps.append("not compilable")
+        else:
+            caps.append(f"compilable (depth {stats.depth}, "
+                        f"{stats.n_gates} gates)")
+        return caps
+
 
 _REGISTRY: Dict[str, Scenario] = {}
 

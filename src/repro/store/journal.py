@@ -80,6 +80,35 @@ class Journal:
             json.dumps(header, sort_keys=True) + "\n", encoding="utf-8"
         )
 
+    def resume(self, scenario_id: str, fingerprint: str = ""
+               ) -> Tuple[List[RunOutcome], str]:
+        """Continue this journal for ``scenario_id`` on this code.
+
+        Returns ``(outcomes, note)``: the outcomes the journal already
+        holds, and why none could be reused.  A journal from the same
+        scenario and code fingerprint is :func:`recover`-ed (torn tail
+        dropped) and kept.  Anything else starts afresh: silently when
+        the file is missing, with a note when it is empty or headerless
+        (a kill during :meth:`start`) or written by another scenario or
+        code version.
+        """
+        fingerprint = fingerprint or code_fingerprint()
+        note = ""
+        if self.path.exists():
+            try:
+                header, outcomes = recover(self.path)
+            except JournalError:
+                note = (f"journal {self.path} has no usable header; "
+                        f"rerunning every point")
+            else:
+                if (header.get("scenario") == scenario_id
+                        and header.get("fingerprint") == fingerprint):
+                    return outcomes, ""
+                note = (f"journal {self.path} was written by a different "
+                        f"scenario or code version; rerunning every point")
+        self.start(scenario_id, fingerprint)
+        return [], note
+
     def append(self, outcome: RunOutcome) -> None:
         """Durably record one completed point (open-write-close)."""
         with self.path.open("a", encoding="utf-8") as fh:

@@ -1,11 +1,17 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENT_IDS, main
+from repro.__main__ import build_parser, main
 from repro.runner import registry
+
+
+def _paper_ids():
+    registry.load_builtin()
+    return tuple(sc.id for sc in registry.find(tags=("paper",)))
 
 
 @pytest.fixture
@@ -45,7 +51,7 @@ class TestRun:
         self, executed, capsys
     ):
         assert main(["run", "--fast"]) == 0
-        assert sorted(executed) == sorted(EXPERIMENT_IDS)
+        assert sorted(executed) == sorted(_paper_ids())
 
     def test_unknown_scenario_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -87,7 +93,7 @@ class TestList:
     def test_lists_all_scenarios(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for sid in EXPERIMENT_IDS + ("mesh-design-space",):
+        for sid in _paper_ids() + ("mesh-design-space",):
             assert sid in out
 
     def test_tag_filter(self, capsys):
@@ -149,7 +155,85 @@ class TestTopLevel:
         assert exc.value.code == 2
 
     def test_experiment_ids_cover_every_paper_artifact(self):
-        assert set(EXPERIMENT_IDS) == {
+        assert set(_paper_ids()) == {
             "fig10", "fig11", "fig12", "fig13", "fig14",
             "table1", "table2", "throughput", "wirelength",
         }
+
+
+#: every subcommand's options and their defaults (positionals by dest);
+#: the CLI surface is frozen — an option added, dropped or re-defaulted
+#: shows up here
+CLI_SURFACE = {
+    "list": {"--tags": None, "--verbose": False},
+    "inspect": {
+        "scenario": None, "--tree": False, "--no-ports": False,
+        "--set": None, "--fast": False, "--compiled": False,
+    },
+    "lint": {
+        "scenarios": None, "--all": False, "--set": None, "--full": False,
+        "--format": "text", "--fail-on": "error", "--waivers": None,
+    },
+    "run": {
+        "scenarios": None, "--tags": None, "--fast": False, "--jobs": 1,
+        "--out": None,
+    },
+    "sweep": {
+        "scenario": None, "--param": None, "--set": None, "--fast": False,
+        "--jobs": 1, "--out": None, "--resume": None, "--store": None,
+        "--progress": False, "--fabric": None, "--workers": 0,
+        "--lease-ttl": 20.0, "--fabric-timeout": None,
+        "--point-timeout": None, "--lint": False,
+        "--quarantine-after": 2,
+    },
+    "worker": {
+        "fabric": None, "--id": None, "--lease-ttl": 20.0, "--poll": 0.5,
+        "--plan-timeout": 60.0, "--once": False, "--max-items": None,
+        "--point-timeout": None, "--quarantine-after": 2, "--chaos": None,
+    },
+    "fsck": {
+        "dir": None, "--dry-run": False, "--quarantine": None,
+        "--json": None,
+    },
+    "telemetry": {"target": None, "--json": None, "--csv": None},
+    "diff": {"old": None, "new": None, "--drift-tolerance": None},
+    "history": {"store": None, "--scenario": None},
+    "bench": {
+        "--suite": "noc", "--scale": 1.0, "--mesh": None, "--rates": None,
+        "--pattern": "uniform", "--routing": "xy", "--vcs": 1,
+        "--kind": "I3", "--cycles": 1500, "--repeats": 3, "--fast": False,
+        "--no-reference": False, "--profile": False, "--json": None,
+        "--check": None, "--tolerance": 0.3,
+    },
+}
+
+
+class TestSurface:
+    def test_options_and_defaults_are_frozen(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: {
+                "/".join(action.option_strings) or action.dest:
+                    action.default
+                for action in subparser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, subparser in sub.choices.items()
+        }
+        assert surface == CLI_SURFACE
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "mesh-design-space", "--workers", "-1"],
+        ["worker", "fabric", "--lease-ttl", "0"],
+        ["bench", "--repeats", "0"],
+        ["sweep", "mesh-design-space", "--set", "cycles=1",
+         "--set", "cycles=2"],
+        ["inspect", "gals-mesh", "--set", "seed=1", "--set", "seed=2"],
+    ])
+    def test_bad_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -55,21 +55,20 @@ def _outcome(params=(), error="", duration=None, t_mono=None,
 
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_counter_gauge_timer_histogram(self):
+    def test_counter_gauge_histogram(self):
         reg = metrics.MetricsRegistry(enabled=True)
         reg.counter("a").inc()
         reg.counter("a").inc(4)
         reg.gauge("g").set(7)
-        reg.timer("t").observe(0.5)
-        reg.timer("t").observe(1.5)
+        reg.gauge("g").set(3)
         hist = reg.histogram("h", (1, 4, 8))
         for value in (0, 1, 2, 9):
             hist.observe(value)
         snap = reg.snapshot()
         assert snap["counter:a"] == 5
-        assert snap["gauge:g"] == 7
-        assert snap["timer:t"] == [2, 2.0, 0.5, 1.5]
+        assert snap["gauge:g"] == 3              # last write wins
         assert snap["hist:h"] == [[1, 4, 8], [2, 1, 0, 1]]
+        assert set(snap) == {"counter:a", "gauge:g", "hist:h"}
 
     def test_snapshot_keys_sorted_and_json_stable(self):
         reg = metrics.MetricsRegistry(enabled=True)
@@ -95,17 +94,16 @@ class TestRegistry:
         reg = metrics.MetricsRegistry(enabled=True)
         reg.counter("c").inc(3)
         reg.gauge("g").set(10)
-        reg.timer("t").observe(1.0)
+        reg.histogram("h", (1, 4)).observe(0)
         before = reg.snapshot()
         reg.counter("c").inc(2)
         reg.gauge("g").set(4)
-        reg.timer("t").observe(3.0)
+        reg.histogram("h", (1, 4)).observe(3)
         after = reg.snapshot()
         delta = metrics.snapshot_delta(before, after)
         assert delta["counter:c"] == 2           # counters subtract
         assert delta["gauge:g"] == 4             # gauges report levels
-        assert delta["timer:t"][0] == 1          # observation count delta
-        assert delta["timer:t"][1] == pytest.approx(3.0)
+        assert delta["hist:h"] == [[1, 4], [1, 1, 0]]  # histograms too
 
     def test_snapshot_delta_omits_unchanged(self):
         reg = metrics.MetricsRegistry(enabled=True)
@@ -143,6 +141,15 @@ class TestRegistry:
         assert not metrics.REGISTRY.enabled
         # contents survive; only the flag is restored
         assert metrics.REGISTRY.counters() == {"c": 1}
+
+    def test_collecting_export_restores_environment(self, monkeypatch):
+        with metrics.collecting(export=True):
+            assert os.environ[metrics.ENV_FLAG] == "1"
+        assert metrics.ENV_FLAG not in os.environ
+        monkeypatch.setenv(metrics.ENV_FLAG, "yes")
+        with metrics.collecting(export=True):
+            assert os.environ[metrics.ENV_FLAG] == "1"
+        assert os.environ[metrics.ENV_FLAG] == "yes"
 
 
 # ----------------------------------------------------------------------
@@ -575,6 +582,15 @@ class TestCliTelemetry:
     def test_telemetry_subcommand_missing_dir_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["telemetry", str(tmp_path / "nowhere")])
+
+    def test_progress_restores_metrics_state(self, tmp_path, capsys):
+        """``--progress`` collects only for its own sweep: later
+        in-process calls must find the registry and env as before."""
+        assert main(SWEEP_ARGS + ["--out", str(tmp_path / "out"),
+                                  "--progress"]) == 0
+        capsys.readouterr()
+        assert metrics.REGISTRY.enabled is False
+        assert metrics.ENV_FLAG not in os.environ
 
     def test_run_out_writes_snapshot(self, tmp_path, capsys):
         out = tmp_path / "run-out"

@@ -143,6 +143,28 @@ class TestJournal:
         with pytest.raises(journal.JournalError):
             journal.load(path)
 
+    def test_resume_keeps_only_a_matching_journal(self, tmp_path):
+        outcomes = engine.execute(_mesh_requests(sizes=(2,)))
+        path = journal.journal_path(tmp_path)
+        writer = journal.Journal(path)
+        # missing: started afresh, silently
+        assert writer.resume("mesh-design-space") == ([], "")
+        writer.append(outcomes[0])
+        with path.open("ab") as fh:
+            fh.write(b'{"kind": "outc')  # torn tail
+        past, note = writer.resume("mesh-design-space")
+        assert note == ""
+        assert [o.request for o in past] == [outcomes[0].request]
+        # other scenario or code: started afresh, with a note
+        past, note = writer.resume("mesh-design-space", "0" * 16)
+        assert past == [] and "different scenario or code" in note
+        assert journal.load(path)[0]["fingerprint"] == "0" * 16
+        path.write_text("")  # a kill during start()
+        past, note = writer.resume("mesh-design-space")
+        assert past == [] and "no usable header" in note
+        header, loaded = journal.load(path)
+        assert header["scenario"] == "mesh-design-space" and loaded == []
+
 
 # ----------------------------------------------------------------------
 def _summary_tree(tmp_path, name, runs, tables=None):

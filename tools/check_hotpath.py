@@ -9,7 +9,7 @@ and belong to the CLI/telemetry layer).  This script encodes that
 contract as an AST lint over the hot-path packages so a refactor
 cannot silently regress it:
 
-* every ``_OBS.counter/gauge/timer/histogram(...)`` call must sit in
+* every ``_OBS.counter/gauge/histogram(...)`` call must sit in
   the taken branch of an ``if``/conditional expression whose test
   mentions ``_OBS.enabled`` — or inside a ``_obs_*`` helper function
   (whose body is bulk-publish code);
@@ -33,7 +33,7 @@ from typing import List, Tuple
 HOT_PACKAGES = ("src/repro/sim", "src/repro/noc", "src/repro/compiled")
 
 #: registry methods that create/update metrics (cheap only when guarded)
-METRIC_METHODS = frozenset({"counter", "gauge", "timer", "histogram"})
+METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 #: registry methods hot paths must never call
 FORBIDDEN_METHODS = frozenset({"snapshot", "reset"})
